@@ -58,8 +58,10 @@ class TraceSource
      * Zero-copy variant of nextBatch(): return a pointer to the next
      * run of up to `want` records in source-owned storage and advance
      * the stream past them, with `got` receiving the run length
-     * (1 <= got <= want). The run must stay valid until the source is
-     * destroyed. Sources without stable internal storage return
+     * (1 <= got <= want). The run (and its borrowRuns() sidecar)
+     * stays valid until the next call on this source, which may
+     * overwrite it; OooCore::dispatch re-borrows only once it has
+     * consumed the whole run. Sources without such storage return
      * nullptr (got = 0) and the caller falls back to nextBatch();
      * layered sources that transform records must not forward a
      * borrow from their inner source.

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -26,6 +27,7 @@
 #include "sim/thread_pool.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
+#include "workload/trace_cache.hpp"
 
 namespace bingo
 {
@@ -103,6 +105,29 @@ std::condition_variable g_baseline_cv;
 std::map<std::string, BaselineSlot> g_baseline_cache;
 std::string g_baseline_substrate;
 
+/** Whether baselineFor() already holds the result for `key`. */
+bool
+baselineReady(const std::string &key)
+{
+    std::lock_guard<std::mutex> lock(g_baseline_mutex);
+    const auto it = g_baseline_cache.find(key);
+    return it != g_baseline_cache.end() && it->second.ready;
+}
+
+/**
+ * The config a job's System is built from: `config` under `seed`,
+ * with env chaos applied, validated (throws on an invalid config).
+ */
+SystemConfig
+resolvedConfig(const SystemConfig &config, std::uint64_t seed)
+{
+    SystemConfig cfg = config;
+    cfg.seed = seed;
+    chaos::applyEnvChaos(cfg);
+    cfg.validate();
+    return cfg;
+}
+
 // --- Graceful SIGINT/SIGTERM drain -------------------------------------
 
 std::atomic<int> g_sweep_signal{0};
@@ -173,13 +198,16 @@ maybeExportTelemetry(const SweepJob &job, System &system,
 /**
  * One job, attempted up to 1 + BINGO_RETRIES times. Never throws:
  * every failure is folded into the returned outcome. `collect` runs
- * on the finished System of a successful attempt only.
+ * on the finished System of a successful attempt only. A sweep's
+ * TraceReadPlan counts one System per job, so only the first build
+ * reads as planned, and only if `planned_read` is set; every later
+ * build reads outside the plan.
  */
 JobOutcome
 runJobWithRetries(const SweepJob &job, std::size_t index,
                   const std::function<void(std::size_t, System &)>
                       &collect,
-                  const SweepFaultHook &fault_hook)
+                  const SweepFaultHook &fault_hook, bool planned_read)
 {
     JobOutcome outcome;
     const auto start = std::chrono::steady_clock::now();
@@ -191,11 +219,12 @@ runJobWithRetries(const SweepJob &job, std::size_t index,
         try {
             if (fault_hook)
                 fault_hook(index, attempt);
-            SystemConfig cfg = job.config;
-            cfg.seed = job.options.seed;
-            chaos::applyEnvChaos(cfg);
-            cfg.validate();
-            System system(cfg, job.workload);
+            std::optional<UnplannedTraceReads> unplanned;
+            if (!planned_read)
+                unplanned.emplace();
+            planned_read = false;
+            System system(resolvedConfig(job.config, job.options.seed),
+                          job.workload);
             if (telemetry::requested())
                 system.enableTelemetry(telemetry::optionsFromEnv());
             if (timeout_s > 0.0) {
@@ -267,9 +296,10 @@ runJobWithRetries(const SweepJob &job, std::size_t index,
  * calling worker thread: every member's System is constructed up
  * front, then the batch round-robins advance() slices until all
  * complete. Members share a trace stream (the caller groups them by
- * stream identity), so they walk the shared trace-cache buffers
- * nearly in step — each generated chunk is consumed by the whole
- * batch while it is hot instead of being re-walked cold per run.
+ * stream identity), so they walk one shared trace-cache buffer
+ * nearly in step — each generated slice is consumed by the whole
+ * batch while it is hot in the host's caches instead of being
+ * re-walked cold per run.
  *
  * One member's failure never poisons its batchmates: the member is
  * dropped from the lockstep and re-run solo through the normal retry
@@ -309,11 +339,9 @@ runBatchLockstep(
         m.index = index;
         m.start = std::chrono::steady_clock::now();
         try {
-            SystemConfig cfg = job.config;
-            cfg.seed = job.options.seed;
-            chaos::applyEnvChaos(cfg);
-            cfg.validate();
-            m.system = std::make_unique<System>(cfg, job.workload);
+            m.system = std::make_unique<System>(
+                resolvedConfig(job.config, job.options.seed),
+                job.workload);
             if (telemetry::requested())
                 m.system->enableTelemetry(telemetry::optionsFromEnv());
             if (timeout_s > 0.0) {
@@ -337,14 +365,15 @@ runBatchLockstep(
     }
 
     // Round-robin advance() slices until every member completes. The
-    // slice length trades lockstep tightness (members must stay within
-    // the trace cache's residency window of each other to share
-    // chunks) against per-slice switching cost; 8192 iterations keeps
-    // members within a couple of trace-cache commit slices of each
-    // other while the resumed-loop overhead stays well under a
-    // percent. Note batching trades trace-stream bandwidth for
-    // simulator-state footprint — see EXPERIMENTS.md for the regime
-    // where each side wins.
+    // slice length trades lockstep tightness against per-slice
+    // switching cost. The shared buffer retains the whole stream, so
+    // members never miss it however far apart they drift; staying
+    // close keeps the slice a leader just generated hot in the host's
+    // caches for the rest. 8192 iterations keeps members within a
+    // couple of trace-cache commit slices of each other while the
+    // resumed-loop overhead stays well under a percent. Note batching
+    // trades trace-stream bandwidth for simulator-state footprint —
+    // see EXPERIMENTS.md for the regime where each side wins.
     constexpr std::uint64_t kSliceIterations = 8192;
     std::size_t running = live.size();
     while (running > 0) {
@@ -397,8 +426,8 @@ runBatchLockstep(
     }
 
     for (std::size_t index : solo)
-        outcomes[index] =
-            runJobWithRetries(jobs[index], index, collect, {});
+        outcomes[index] = runJobWithRetries(jobs[index], index, collect,
+                                            {}, /*planned_read=*/false);
 }
 
 /**
@@ -427,8 +456,8 @@ runIndexed(const std::vector<SweepJob> &jobs,
                 "(journaled jobs are kept; re-run to resume)";
             return;
         }
-        outcomes[i] =
-            runJobWithRetries(jobs[i], i, collect, fault_hook);
+        outcomes[i] = runJobWithRetries(jobs[i], i, collect, fault_hook,
+                                        /*planned_read=*/true);
     };
 
     // Distinct baselines requested by the jobs, deduplicated so each
@@ -446,6 +475,29 @@ runIndexed(const std::vector<SweepJob> &jobs,
         }
         for (const auto &[key, index] : seen)
             baseline_of.push_back(index);
+    }
+
+    // Trace read plan: every System this sweep will build announces
+    // its streams, so the last reader of each stream streams it
+    // instead of materializing a buffer nobody will reread (see
+    // workload/trace_cache.hpp). A baseline already computed builds
+    // no System. An invalid config announces nothing: its job fails
+    // before it acquires.
+    TraceReadPlan trace_plan;
+    const auto plan = [&trace_plan](const std::string &workload,
+                                    const SystemConfig &config,
+                                    std::uint64_t seed) {
+        try {
+            System::planTraceReaders(resolvedConfig(config, seed),
+                                     workload, trace_plan);
+        } catch (const std::exception &) {
+        }
+    };
+    for (std::size_t i : indices)
+        plan(jobs[i].workload, jobs[i].config, jobs[i].options.seed);
+    for (std::size_t i : baseline_of) {
+        if (!baselineReady(baselineKey(jobs[i].workload, jobs[i].options)))
+            plan(jobs[i].workload, SystemConfig{}, jobs[i].options.seed);
     }
     // Baselines always run on the default substrate, matching the
     // benches' direct baselineFor(workload, SystemConfig{}, options)
@@ -627,11 +679,7 @@ RunResult
 runWorkload(const std::string &workload, const SystemConfig &config,
             const ExperimentOptions &options)
 {
-    SystemConfig cfg = config;
-    cfg.seed = options.seed;
-    chaos::applyEnvChaos(cfg);
-    cfg.validate();
-    System system(cfg, workload);
+    System system(resolvedConfig(config, options.seed), workload);
     system.run(options.warmup_instructions,
                options.measure_instructions);
     g_completed_runs.fetch_add(1, std::memory_order_relaxed);
@@ -759,7 +807,8 @@ runSingleJob(const SweepJob &job, std::size_t index, RunResult &result)
     const auto collect = [&](std::size_t, System &system) {
         result = collectResult(system, job.workload);
     };
-    return runJobWithRetries(job, index, collect, {});
+    return runJobWithRetries(job, index, collect, {},
+                             /*planned_read=*/false);
 }
 
 void

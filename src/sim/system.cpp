@@ -47,6 +47,21 @@ skipDisabledByEnv()
 /** Test-seam override of the env default; see the static setter. */
 std::optional<bool> g_skip_default_override;
 
+/**
+ * Without trace-site chaos a System takes its streams pre-composed
+ * with the (seed-determined) address translation, so cached replay is
+ * a raw borrow with no per-record work; trace chaos must corrupt
+ * *virtual* addresses, so those runs take the virtual stream and
+ * layer corruption + translation per System in build().
+ */
+bool
+preTranslatedStreams(const SystemConfig &config)
+{
+    return !(config.chaos.enabled &&
+             (config.chaos.site_mask &
+              chaos::siteBit(chaos::ChaosSite::Trace)) != 0);
+}
+
 } // namespace
 
 void
@@ -62,21 +77,23 @@ System::System(const SystemConfig &config, const std::string &workload)
     sources.reserve(config.num_cores);
     // Through the process-wide trace cache: sweep jobs that share a
     // (workload, core, seed) replay one generated buffer instead of
-    // regenerating. Without trace-site chaos the cached stream is
-    // pre-composed with the (seed-determined) address translation, so
-    // replay is a raw borrow with no per-record work; trace chaos
-    // must corrupt *virtual* addresses, so those runs take the
-    // virtual buffer and layer corruption + translation per System in
-    // build(). Either way sharing cannot couple runs.
-    const bool trace_chaos =
-        config.chaos.enabled &&
-        (config.chaos.site_mask &
-         chaos::siteBit(chaos::ChaosSite::Trace)) != 0;
+    // regenerating. Sharing cannot couple runs.
+    const bool translated = preTranslatedStreams(config);
     for (CoreId c = 0; c < config.num_cores; ++c) {
-        sources.push_back(acquireWorkloadSource(
-            workload, c, config.seed, /*translated=*/!trace_chaos));
+        sources.push_back(
+            acquireWorkloadSource(workload, c, config.seed, translated));
     }
-    build(std::move(sources), /*pre_translated=*/!trace_chaos);
+    build(std::move(sources), translated);
+}
+
+void
+System::planTraceReaders(const SystemConfig &config,
+                         const std::string &workload,
+                         TraceReadPlan &plan)
+{
+    const bool translated = preTranslatedStreams(config);
+    for (CoreId c = 0; c < config.num_cores; ++c)
+        plan.addReader(workload, c, config.seed, translated);
 }
 
 System::System(const SystemConfig &config,

@@ -33,6 +33,8 @@
 namespace bingo
 {
 
+class TraceReadPlan;
+
 /** A complete simulated machine running one workload. */
 class System
 {
@@ -46,6 +48,14 @@ class System
     /** Build the system around caller-provided per-core sources. */
     System(const SystemConfig &config,
            std::vector<std::unique_ptr<TraceSource>> sources);
+
+    /**
+     * Announce to `plan` the trace streams System(config, workload)
+     * will acquire, one per core.
+     */
+    static void planTraceReaders(const SystemConfig &config,
+                                 const std::string &workload,
+                                 TraceReadPlan &plan);
 
     /**
      * Simulate `warmup_instructions` per core (warming caches and

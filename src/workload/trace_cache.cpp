@@ -17,6 +17,9 @@ namespace
 constexpr std::uint64_t kMebibyte = 1024 * 1024;
 constexpr std::uint64_t kDefaultBudgetMb = 512;
 
+/** Live UnplannedTraceReads scopes on this thread. */
+thread_local unsigned t_unplanned_scopes = 0;
+
 /** BINGO_TRACE_CACHE_MB: unset/empty -> default, 0 -> disabled. */
 std::uint64_t
 budgetFromEnv()
@@ -50,6 +53,116 @@ makeStream(const std::string &workload, CoreId core,
     }
     return source;
 }
+
+/**
+ * Non-memory run-length sidecar of one freshly generated slice,
+ * computed backward: runs[i] counts the consecutive non-memory
+ * records starting at i, saturated at 255. The record past the slice
+ * end is unknown (not generated yet), so runs are clipped there —
+ * shorter than the true run is always safe for the dispatch fast
+ * path.
+ */
+void
+fillRunLengths(const TraceRecord *records, std::uint8_t *runs,
+               std::size_t count)
+{
+    std::uint8_t next = 0;
+    for (std::size_t i = count; i-- > 0;) {
+        const bool mem = records[i].type == InstrType::Load ||
+                         records[i].type == InstrType::Store;
+        next = mem ? std::uint8_t{0}
+                   : static_cast<std::uint8_t>(next < 255 ? next + 1
+                                                          : 255);
+        runs[i] = next;
+    }
+}
+
+/**
+ * TraceSource running a private generator through one fixed window of
+ * TraceBuffer::kCommitRecords records, refilled in place. The window
+ * carries the same non-memory run-length sidecar a TraceBuffer slice
+ * does, so dispatch runs and zero-copy borrows work as on a shared
+ * replay, but nothing outlives the window: a borrowed run is valid
+ * only until the next call on this source.
+ */
+class StreamingTraceSource : public TraceSource
+{
+  public:
+    /**
+     * @param generator The stream's generator; owned.
+     * @param total_records Process-wide generated-record counter.
+     */
+    StreamingTraceSource(std::unique_ptr<TraceSource> generator,
+                         std::atomic<std::uint64_t> &total_records)
+        : generator_(std::move(generator)),
+          total_records_(total_records), window_(kWindow),
+          runs_(kWindow)
+    {
+    }
+
+    TraceRecord
+    next() override
+    {
+        if (pos_ == kWindow)
+            refill();
+        return window_[pos_++];
+    }
+
+    void
+    nextBatch(TraceRecord *out, std::size_t count) override
+    {
+        while (count > 0) {
+            if (pos_ == kWindow)
+                refill();
+            const std::size_t take =
+                count < kWindow - pos_ ? count : kWindow - pos_;
+            std::memcpy(out, window_.data() + pos_,
+                        take * sizeof(TraceRecord));
+            out += take;
+            pos_ += take;
+            count -= take;
+        }
+    }
+
+    const TraceRecord *
+    borrowBatch(std::size_t want, std::size_t &got) override
+    {
+        if (pos_ == kWindow)
+            refill();
+        got = want < kWindow - pos_ ? want : kWindow - pos_;
+        borrowed_runs_ = runs_.data() + pos_;
+        const TraceRecord *run = window_.data() + pos_;
+        pos_ += got;
+        return run;
+    }
+
+    const std::uint8_t *
+    borrowRuns() const override
+    {
+        return borrowed_runs_;
+    }
+
+  private:
+    static constexpr std::size_t kWindow = TraceBuffer::kCommitRecords;
+
+    /** Generate the next window and its sidecar over the old one. */
+    void
+    refill()
+    {
+        generator_->nextBatch(window_.data(), kWindow);
+        fillRunLengths(window_.data(), runs_.data(), kWindow);
+        pos_ = 0;
+        total_records_.fetch_add(kWindow, std::memory_order_relaxed);
+    }
+
+    std::unique_ptr<TraceSource> generator_;
+    std::atomic<std::uint64_t> &total_records_;
+    std::vector<TraceRecord> window_;
+    std::vector<std::uint8_t> runs_;
+    std::size_t pos_ = kWindow;  ///< Next unread window slot.
+    /// Sidecar of the last borrowBatch() window (see borrowRuns()).
+    const std::uint8_t *borrowed_runs_ = nullptr;
+};
 
 } // namespace
 
@@ -107,24 +220,8 @@ TraceBuffer::extendTo(std::size_t needed)
         const std::size_t take =
             remaining < kCommitRecords ? remaining : kCommitRecords;
         generator_->nextBatch(chunkData(chunk_idx) + offset, take);
-        // Run-length sidecar, computed backward over the fresh slice:
-        // runs[i] counts the consecutive non-memory records starting
-        // at i. The value past the slice end is unknown (it has not
-        // been generated yet), so runs are clipped there — shorter
-        // than the true run is always safe for the dispatch fast path.
-        {
-            const TraceRecord *recs = chunkData(chunk_idx) + offset;
-            std::uint8_t *runs = runData(chunk_idx) + offset;
-            std::uint8_t next = 0;
-            for (std::size_t i = take; i-- > 0;) {
-                const bool mem = recs[i].type == InstrType::Load ||
-                                 recs[i].type == InstrType::Store;
-                next = mem ? std::uint8_t{0}
-                           : static_cast<std::uint8_t>(
-                                 next < 255 ? next + 1 : 255);
-                runs[i] = next;
-            }
-        }
+        fillRunLengths(chunkData(chunk_idx) + offset,
+                       runData(chunk_idx) + offset, take);
         committed += take;
         if (total_records_ != nullptr) {
             total_records_->fetch_add(take,
@@ -171,7 +268,7 @@ TraceBuffer::view(std::size_t pos, std::size_t want, std::size_t &got,
 }
 
 std::size_t
-TraceCache::KeyHash::operator()(const Key &key) const
+TraceStreamKeyHash::operator()(const TraceStreamKey &key) const
 {
     std::uint64_t h = mix64(key.seed ^ (std::uint64_t{key.core} << 48) ^
                             (key.translated ? 1ULL << 40 : 0));
@@ -196,19 +293,47 @@ std::unique_ptr<TraceSource>
 TraceCache::acquire(const std::string &workload, CoreId core,
                     std::uint64_t seed, bool translated)
 {
+    Key key{workload, core, seed, translated};
+    const auto streaming = [&] {
+        return std::make_unique<StreamingTraceSource>(
+            makeStream(workload, core, seed, translated),
+            records_generated_);
+    };
+
     std::unique_lock<std::mutex> lock(mutex_);
+    // A planned acquire consumes one announced reader; the last one
+    // leaves nothing behind in the registry.
+    bool last_reader = false;
+    if (auto plan = planned_.find(key);
+        plan != planned_.end() && t_unplanned_scopes == 0) {
+        last_reader = --plan->second == 0;
+        if (last_reader)
+            planned_.erase(plan);
+    }
     if (budget_bytes_ == 0) {
         bypasses_.fetch_add(1, std::memory_order_relaxed);
         lock.unlock();
-        return makeStream(workload, core, seed, translated);
+        return streaming();
     }
 
-    Key key{workload, core, seed, translated};
     auto it = buffers_.find(key);
     if (it != buffers_.end()) {
         hits_.fetch_add(1, std::memory_order_relaxed);
-        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-        return std::make_unique<CachedTraceSource>(it->second.buffer);
+        std::shared_ptr<TraceBuffer> buffer = it->second.buffer;
+        if (last_reader) {
+            // Live sources keep the buffer alive; it is freed with
+            // the last of them rather than held under the budget.
+            lru_.erase(it->second.lru_pos);
+            buffers_.erase(it);
+        } else {
+            lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+        }
+        return std::make_unique<CachedTraceSource>(std::move(buffer));
+    }
+    if (last_reader) {
+        bypasses_.fetch_add(1, std::memory_order_relaxed);
+        lock.unlock();
+        return streaming();
     }
 
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -240,6 +365,51 @@ TraceCache::evictOverBudget()
         it = lru_.erase(it);
         evictions_.fetch_add(1, std::memory_order_relaxed);
     }
+}
+
+void
+TraceCache::planReaders(const Key &key, std::uint64_t readers)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    planned_[key] += readers;
+}
+
+void
+TraceCache::cancelReaders(const Key &key, std::uint64_t readers)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto plan = planned_.find(key);
+    if (plan == planned_.end())
+        return;
+    if (plan->second <= readers)
+        planned_.erase(plan);
+    else
+        plan->second -= readers;
+}
+
+TraceReadPlan::~TraceReadPlan()
+{
+    for (const auto &[key, readers] : readers_)
+        TraceCache::instance().cancelReaders(key, readers);
+}
+
+void
+TraceReadPlan::addReader(const std::string &workload, CoreId core,
+                         std::uint64_t seed, bool translated)
+{
+    TraceStreamKey key{workload, core, seed, translated};
+    TraceCache::instance().planReaders(key, 1);
+    ++readers_[std::move(key)];
+}
+
+UnplannedTraceReads::UnplannedTraceReads()
+{
+    ++t_unplanned_scopes;
+}
+
+UnplannedTraceReads::~UnplannedTraceReads()
+{
+    --t_unplanned_scopes;
 }
 
 void

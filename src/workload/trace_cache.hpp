@@ -1,40 +1,58 @@
 /**
  * @file
- * Memoized trace generation: a process-wide cache of synthetic trace
- * buffers shared across sweep jobs.
+ * Trace sourcing for Systems: shared buffers for streams a sweep will
+ * reread, a bounded private window for every other stream.
  *
- * A sweep varies prefetcher and cache knobs far more often than it
- * varies the workload, yet every System used to re-run the workload
- * generators from scratch — for a full parameter sweep that is
- * thousands of redundant trace generations of identical record
- * streams. The cache generates each (workload, core, seed) stream
- * once, into an append-only chunked buffer, and hands every System a
- * lightweight replay source over the shared immutable prefix.
- *
- * Identity: a stream is fully determined by (workload, core, seed) —
+ * A stream is fully determined by (workload, core, seed, translated):
  * makeWorkload() derives the per-core base address and generator
- * seeds from exactly these three values, and the generators are
- * deterministic. Length is not part of the key because buffers grow
- * on demand: a longer run extends the shared buffer past its previous
- * high-water mark and shorter runs replay a prefix.
+ * seeds from the first three, the generators are deterministic, and
+ * `translated` composes the seed-derived first-touch translation.
+ * Length is not part of the key; a stream is infinite and every reader
+ * consumes a prefix.
+ *
+ * What is retained: only streams some later reader will replay. A
+ * sweep (runIndexed in sim/experiment.cpp) walks its job list before
+ * dispatch and records, in a TraceReadPlan, how many Systems will
+ * acquire each stream. Every planned reader but the last shares one
+ * append-only chunked TraceBuffer, as an unplanned acquire always
+ * does. The last planned reader shares the buffer if one exists and
+ * takes it out of the registry, so its memory goes with the last live
+ * source; if no buffer exists, it gets a private streaming source
+ * (StreamingTraceSource, trace_cache.cpp), which runs the generator
+ * through one kCommitRecords window and keeps nothing. Acquires
+ * outside a plan (direct System construction, dist workers,
+ * microbenches, and a sweep job's rebuild after a failed attempt; see
+ * UnplannedTraceReads) materialize and share.
+ *
+ * Why: a retained buffer costs its full length in memory that must be
+ * page-faulted in, and it pays only when a second reader replays it.
+ * On a shared 4-vCPU Xeon VM (GCC 12.2, -O3, 4 sweep threads, median
+ * of ten interleaved pairs), a sweep of twelve single-reader jobs
+ * (perfbench compute_bound) held about 1 GB of buffers and spent a
+ * third of its CPU time in the kernel faulting them in; streaming cut
+ * its CPU time from 3.54 s to 2.21 s and its peak RSS from 1074 MB to
+ * 58 MB. The Figure 8 sweep, seven readers per stream, still shares
+ * every stream and runs at parity; streaming all of its readers
+ * instead cost it about 5 % CPU (EXPERIMENTS.md has the tables).
  *
  * Concurrency: generation happens under a per-buffer mutex using the
  * single underlying generator; readers are lock-free (the chunk
  * directory is pre-reserved so it never reallocates, and a
  * release/acquire on the committed-record count publishes chunk
- * contents). The registry itself is mutex-protected; sweep worker
- * threads contend only on acquire/extend, not on replay.
+ * contents). The registry and the plan are mutex-protected; sweep
+ * worker threads contend only on acquire/extend, not on replay.
  *
- * Budget: BINGO_TRACE_CACHE_MB bounds retained bytes (default 512,
- * 0 disables caching entirely). Eviction is LRU over buffers not
- * referenced by any live source; buffers in use are never evicted, so
- * the budget can transiently overshoot while a wide sweep holds many
- * workloads open.
+ * Budget: BINGO_TRACE_CACHE_MB bounds retained bytes (default 512;
+ * 0 disables sharing, and every acquire streams). Eviction is LRU
+ * over registered buffers not referenced by any live source; buffers
+ * in use are never evicted, so the budget can transiently overshoot
+ * while a wide sweep holds many streams open.
  *
- * Determinism: a replay source yields bit-for-bit the records the
- * generator would, so journals are identical with the cache on or
- * off; chaos trace corruption wraps *above* this layer (per System),
- * so fault schedules are also unchanged by sharing.
+ * Determinism: every source yields bit-for-bit the records the
+ * generator would, with the same non-memory run-length sidecar, so
+ * journals are identical whichever source a System gets; chaos trace
+ * corruption wraps *above* this layer (per System), so fault
+ * schedules are also unchanged by sharing.
  */
 
 #ifndef BINGO_WORKLOAD_TRACE_CACHE_HPP
@@ -62,10 +80,30 @@ struct TraceCacheStats
     std::uint64_t hits = 0;        ///< acquire() served from cache.
     std::uint64_t misses = 0;      ///< acquire() built a new buffer.
     std::uint64_t evictions = 0;   ///< Buffers dropped for budget.
-    std::uint64_t bypasses = 0;    ///< acquire() with caching off.
-    std::uint64_t buffers = 0;     ///< Buffers currently retained.
-    std::uint64_t bytes = 0;       ///< Bytes currently retained.
-    std::uint64_t records_generated = 0;  ///< Total records produced.
+    /// acquire() that streamed: caching off, or the last planned
+    /// reader of a stream with no buffer.
+    std::uint64_t bypasses = 0;
+    std::uint64_t buffers = 0;     ///< Buffers currently registered.
+    std::uint64_t bytes = 0;       ///< Bytes of live buffers.
+    /// Total records produced, by buffers and streaming sources alike.
+    std::uint64_t records_generated = 0;
+};
+
+/** Identity of one trace stream (see the file comment). */
+struct TraceStreamKey
+{
+    std::string workload;
+    CoreId core = 0;
+    std::uint64_t seed = 0;
+    /// Stream carries physical (post-translation) addresses.
+    bool translated = false;
+
+    bool operator==(const TraceStreamKey &other) const = default;
+};
+
+struct TraceStreamKeyHash
+{
+    std::size_t operator()(const TraceStreamKey &key) const;
 };
 
 /**
@@ -83,7 +121,9 @@ class TraceBuffer
     /// Commit granularity within a chunk: generation runs in slices
     /// this long, so a short run never pays for a whole chunk's worth
     /// of records it will not read (over-generation is capped at one
-    /// slice). Divides kChunkRecords evenly.
+    /// slice). Divides kChunkRecords evenly. Also the window length
+    /// of the private streaming source, so both carry the same
+    /// sidecar.
     static constexpr std::size_t kCommitRecords = std::size_t{1} << 12;
     /// Chunk-directory capacity, reserved up front so the directory
     /// never reallocates under readers: 2^14 chunks = 2^30 records.
@@ -244,13 +284,16 @@ class TraceCache
 
     /**
      * Trace source for `workload` on `core` under `seed`: a replay of
-     * the shared buffer when caching is on, a private generator when
-     * it is off (budget 0). With `translated` set, records carry
-     * physical addresses — the stream is the generator composed with
-     * the seed-derived first-touch translation, so it is exactly as
-     * deterministic (and as cacheable) as the virtual one, and replay
-     * needs no per-record translation pass. Virtual and translated
-     * buffers of the same stream are distinct cache entries.
+     * the shared buffer when caching is on, a private streaming source
+     * when it is off (budget 0) or when this is the last reader a
+     * TraceReadPlan announced and no buffer exists. The last planned
+     * reader of an existing buffer shares it and unregisters it. With
+     * `translated` set, records carry physical addresses — the stream
+     * is the generator composed with the seed-derived first-touch
+     * translation, so it is exactly as deterministic (and as
+     * cacheable) as the virtual one, and replay needs no per-record
+     * translation pass. Virtual and translated buffers of the same
+     * stream are distinct cache entries.
      */
     std::unique_ptr<TraceSource> acquire(const std::string &workload,
                                          CoreId core,
@@ -271,23 +314,11 @@ class TraceCache
     void clear();
 
   private:
+    friend class TraceReadPlan;
+
+    using Key = TraceStreamKey;
+
     explicit TraceCache(std::uint64_t budget_bytes);
-
-    struct Key
-    {
-        std::string workload;
-        CoreId core = 0;
-        std::uint64_t seed = 0;
-        /// Stream carries physical (post-translation) addresses.
-        bool translated = false;
-
-        bool operator==(const Key &other) const = default;
-    };
-
-    struct KeyHash
-    {
-        std::size_t operator()(const Key &key) const;
-    };
 
     struct Slot
     {
@@ -299,10 +330,17 @@ class TraceCache
     /** Evict LRU unreferenced buffers while over budget (locked). */
     void evictOverBudget();
 
+    /** Announce `readers` more planned acquires of `key`. */
+    void planReaders(const Key &key, std::uint64_t readers);
+    /** Withdraw up to `readers` planned acquires of `key`. */
+    void cancelReaders(const Key &key, std::uint64_t readers);
+
     mutable std::mutex mutex_;
     std::uint64_t budget_bytes_;
-    std::unordered_map<Key, Slot, KeyHash> buffers_;
+    std::unordered_map<Key, Slot, TraceStreamKeyHash> buffers_;
     std::list<Key> lru_;
+    /// Outstanding planned acquires per stream (no zero entries).
+    std::unordered_map<Key, std::uint64_t, TraceStreamKeyHash> planned_;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> evictions_{0};
@@ -312,8 +350,56 @@ class TraceCache
 };
 
 /**
+ * The readers one sweep will open, per stream, registered with the
+ * trace cache for the guard's lifetime (see TraceCache::acquire).
+ * Destruction cancels every reader not yet acquired — a job that
+ * failed before building its System, a baseline served from the
+ * journal — so nothing outlives the sweep. Plans of overlapping
+ * sweeps add up; a cancel withdraws at most what this plan announced,
+ * which can only turn a later planned acquire into an unplanned one
+ * (shared and retained), never change a record.
+ */
+class TraceReadPlan
+{
+  public:
+    TraceReadPlan() = default;
+    ~TraceReadPlan();
+
+    TraceReadPlan(const TraceReadPlan &) = delete;
+    TraceReadPlan &operator=(const TraceReadPlan &) = delete;
+
+    /** One more System will acquire this stream during the sweep. */
+    void addReader(const std::string &workload, CoreId core,
+                   std::uint64_t seed, bool translated);
+
+  private:
+    std::unordered_map<TraceStreamKey, std::uint64_t,
+                       TraceStreamKeyHash>
+        readers_;
+};
+
+/**
+ * While alive, acquires on the calling thread are outside every
+ * TraceReadPlan: they neither use up a planned reader nor stream as
+ * the last one. A plan counts one System per job, so a job's rebuild
+ * (a retry, or the solo rerun of a faulted batch member) reads inside
+ * this scope; otherwise it would use up a reader counted for another
+ * job, and that job's acquire would regenerate and retain the whole
+ * stream.
+ */
+class UnplannedTraceReads
+{
+  public:
+    UnplannedTraceReads();
+    ~UnplannedTraceReads();
+
+    UnplannedTraceReads(const UnplannedTraceReads &) = delete;
+    UnplannedTraceReads &operator=(const UnplannedTraceReads &) = delete;
+};
+
+/**
  * The System-facing entry point: makeWorkload() through the trace
- * cache (or directly, when caching is disabled). With `translated`
+ * cache (streamed, when caching is disabled). With `translated`
  * set, the stream is pre-composed with the seed-derived first-touch
  * translation (see TraceCache::acquire).
  */

@@ -2,13 +2,20 @@
  * @file
  * Tests for the out-of-order core model: retire width, load latency
  * exposure, LSQ and ROB occupancy limits, dependent-load
- * serialization, and measurement bookkeeping.
+ * serialization, measurement bookkeeping, and the lifetime the core
+ * assumes of a borrowed trace window.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <iterator>
+#include <memory>
+
 #include "core/ooo_core.hpp"
 #include "test_util.hpp"
+#include "workload/generator.hpp"
 
 namespace bingo
 {
@@ -322,6 +329,123 @@ TEST_F(CoreTest, TypeCountersTrack)
     EXPECT_EQ(core->stats().loads, 1u);
     EXPECT_EQ(core->stats().stores, 1u);
     EXPECT_EQ(core->stats().branches, 1u);
+}
+
+/**
+ * Borrowing source that honours the TraceSource::borrowBatch()
+ * contract and nothing more: every borrow first fills the window it
+ * handed out last time (records and sidecar) with garbage, then
+ * returns a fresh window from the other half of a double buffer.
+ * Window lengths cycle through odd sizes so windows end at every
+ * offset of the core's fetch batch.
+ */
+class ClobberingSource : public TraceSource
+{
+  public:
+    explicit ClobberingSource(std::unique_ptr<TraceSource> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    TraceRecord next() override { return inner_->next(); }
+
+    const TraceRecord *
+    borrowBatch(std::size_t want, std::size_t &got) override
+    {
+        static constexpr std::size_t kLengths[] = {1, 7, 64, 33, 50, 3};
+        Window &stale = windows_[current_];
+        stale.records.fill(TraceRecord{0xdead, 0xbad000,
+                                       InstrType::Load, true});
+        stale.runs.fill(255);
+        current_ ^= 1;
+        Window &fresh = windows_[current_];
+        got = std::min(want, kLengths[borrows_++ % std::size(kLengths)]);
+        inner_->nextBatch(fresh.records.data(), got);
+        unsigned run = 0;
+        for (std::size_t i = got; i-- > 0;) {
+            const InstrType type = fresh.records[i].type;
+            run = type == InstrType::Load || type == InstrType::Store
+                      ? 0
+                      : std::min(run + 1, 255u);
+            fresh.runs[i] = static_cast<std::uint8_t>(run);
+        }
+        return fresh.records.data();
+    }
+
+    const std::uint8_t *
+    borrowRuns() const override
+    {
+        return windows_[current_].runs.data();
+    }
+
+    std::size_t borrows() const { return borrows_; }
+
+  private:
+    struct Window
+    {
+        std::array<TraceRecord, 64> records;
+        std::array<std::uint8_t, 64> runs{};
+    };
+
+    std::unique_ptr<TraceSource> inner_;
+    std::array<Window, 2> windows_;
+    unsigned current_ = 0;
+    std::size_t borrows_ = 0;
+};
+
+/** What one core run over `trace` did, down to each L1D miss. */
+struct CoreRun
+{
+    CoreStats stats;
+    Cycle completion = 0;
+    std::vector<Addr> fetched_blocks;
+};
+
+CoreRun
+runCore(TraceSource &trace, std::uint64_t instructions)
+{
+    EventQueue events;
+    FakeLower lower(events, 120);
+    CacheConfig l1;
+    l1.size_bytes = 4 * 1024;
+    l1.ways = 4;
+    l1.mshr_entries = 8;
+    Cache l1d("L1", l1, events, lower);
+    OooCore core(0, CoreConfig{}, l1d, trace);
+    core.startMeasurement(instructions, 0);
+    for (Cycle now = 0; !core.measurementDone(); ++now) {
+        if (now > instructions * 1000)
+            throw std::runtime_error("core made no progress");
+        events.runDue(now);
+        core.step(now);
+    }
+    CoreRun out;
+    out.stats = core.stats();
+    out.completion = core.completionCycle();
+    for (const MemAccess &access : lower.fetches)
+        out.fetched_blocks.push_back(access.block);
+    return out;
+}
+
+TEST(CoreBorrowContract, WindowNeedOnlyLastUntilTheNextCall)
+{
+    auto plain = makeWorkload("Data Serving", 0, 7);
+    ClobberingSource clobbering(makeWorkload("Data Serving", 0, 7));
+    const CoreRun reference = runCore(*plain, 200000);
+    const CoreRun borrowed = runCore(clobbering, 200000);
+    ASSERT_GT(clobbering.borrows(), 1000u);
+
+    EXPECT_EQ(borrowed.completion, reference.completion);
+    EXPECT_EQ(borrowed.stats.instructions, reference.stats.instructions);
+    EXPECT_EQ(borrowed.stats.loads, reference.stats.loads);
+    EXPECT_EQ(borrowed.stats.stores, reference.stats.stores);
+    EXPECT_EQ(borrowed.stats.branches, reference.stats.branches);
+    EXPECT_EQ(borrowed.stats.cycles, reference.stats.cycles);
+    EXPECT_EQ(borrowed.stats.rob_full_cycles,
+              reference.stats.rob_full_cycles);
+    EXPECT_EQ(borrowed.stats.lsq_full_cycles,
+              reference.stats.lsq_full_cycles);
+    EXPECT_EQ(borrowed.fetched_blocks, reference.fetched_blocks);
 }
 
 } // namespace

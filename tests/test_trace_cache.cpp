@@ -3,18 +3,27 @@
  * Trace cache tests: replay must be bit-identical to direct
  * generation (including across chunk boundaries), acquire must hit
  * and miss when it should, the byte budget must evict only
- * unreferenced buffers, and a whole simulation must not care whether
- * the cache is on or off.
+ * unreferenced buffers, a sweep's read plan must share exactly the
+ * streams it rereads and stream the rest, and a whole simulation or
+ * sweep must not care whether the cache is on or off.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/system.hpp"
+#include "test_util.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace_cache.hpp"
 
@@ -211,6 +220,233 @@ TEST_F(TraceCacheTest, ChaosScheduleUnchangedByCaching)
         return collectResult(system, "Data Serving");
     };
     expectIdenticalRuns(runChaos(0), runChaos(512ull << 20));
+}
+
+TEST_F(TraceCacheTest, PlannedSingleReaderIsStreamed)
+{
+    TraceCache &cache = TraceCache::instance();
+    TraceReadPlan plan;
+    plan.addReader("Data Serving", 0, 42, /*translated=*/false);
+    auto source = cache.acquire("Data Serving", 0, 42);
+
+    // Reference: the generator's records and a sidecar recomputed
+    // here, clipped at every kCommitRecords window as the streaming
+    // window and the shared buffer's commit slices both clip it.
+    const std::size_t window = TraceBuffer::kCommitRecords;
+    const std::size_t n = 3 * window + 1234;
+    std::vector<TraceRecord> expected(4 * window);
+    makeWorkload("Data Serving", 0, 42)
+        ->nextBatch(expected.data(), expected.size());
+    std::vector<std::uint8_t> runs(expected.size());
+    for (std::size_t start = 0; start < expected.size();
+         start += window) {
+        unsigned run = 0;
+        for (std::size_t i = start + window; i-- > start;) {
+            const bool mem = expected[i].type == InstrType::Load ||
+                             expected[i].type == InstrType::Store;
+            run = mem ? 0 : std::min(run + 1, 255u);
+            runs[i] = static_cast<std::uint8_t>(run);
+        }
+    }
+
+    for (std::size_t pos = 0; pos < n;) {
+        std::size_t got = 0;
+        const TraceRecord *run = source->borrowBatch(1000, got);
+        ASSERT_NE(run, nullptr);
+        ASSERT_GE(got, 1u);
+        ASSERT_LE(got, window - pos % window) << "run crosses a window";
+        const std::uint8_t *sidecar = source->borrowRuns();
+        ASSERT_NE(sidecar, nullptr);
+        for (std::size_t i = 0; i < got; ++i) {
+            expectSameRecord(run[i], expected[pos + i], pos + i);
+            ASSERT_EQ(sidecar[i], runs[pos + i]) << "record " << pos + i;
+        }
+        pos += got;
+    }
+
+    const TraceCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.bypasses, 1u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.buffers, 0u);
+    EXPECT_EQ(stats.bytes, 0u);
+    EXPECT_GE(stats.records_generated, n);
+}
+
+TEST_F(TraceCacheTest, PlannedReadersShareUntilTheLast)
+{
+    TraceCache &cache = TraceCache::instance();
+    constexpr unsigned kReaders = 4;
+    TraceReadPlan plan;
+    for (unsigned r = 0; r < kReaders; ++r)
+        plan.addReader("SAT Solver", 1, 9, /*translated=*/false);
+
+    std::vector<std::unique_ptr<TraceSource>> sources;
+    for (unsigned r = 0; r < kReaders; ++r) {
+        sources.push_back(cache.acquire("SAT Solver", 1, 9));
+        sources.back()->next();
+        // Registered until the last planned acquire takes it out.
+        EXPECT_EQ(cache.stats().buffers, r + 1 < kReaders ? 1u : 0u)
+            << "after acquire " << r;
+    }
+    TraceCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.hits, kReaders - 1);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.bypasses, 0u);
+    EXPECT_GT(stats.bytes, 0u);
+
+    // The last reader still replays the shared stream.
+    auto direct = makeWorkload("SAT Solver", 1, 9);
+    direct->next();
+    for (std::size_t i = 1; i < 10000; ++i)
+        expectSameRecord(sources.back()->next(), direct->next(), i);
+
+    // The buffer goes with its last source, not under the budget.
+    sources.clear();
+    stats = cache.stats();
+    EXPECT_EQ(stats.bytes, 0u);
+    EXPECT_EQ(stats.evictions, 0u);
+}
+
+TEST_F(TraceCacheTest, CancelledPlanLeaksNothing)
+{
+    TraceCache &cache = TraceCache::instance();
+    {
+        TraceReadPlan plan;
+        for (int r = 0; r < 3; ++r)
+            plan.addReader("Zeus", 0, 5, /*translated=*/false);
+        plan.addReader("em3d", 0, 5, /*translated=*/false);
+        auto zeus = cache.acquire("Zeus", 0, 5);
+        zeus->next();
+    }
+
+    // No stale plan survives the guard: later acquires of streams the
+    // plan announced are ordinary shared ones. Two more Zeus readers
+    // would otherwise end the plan and unregister its buffer, and the
+    // em3d reader would stream.
+    for (int r = 0; r < 2; ++r)
+        cache.acquire("Zeus", 0, 5)->next();
+    auto em3d = cache.acquire("em3d", 0, 5);
+    em3d->next();
+    TraceCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.bypasses, 0u);
+    EXPECT_EQ(stats.hits, 2u);
+    EXPECT_EQ(stats.misses, 2u);
+    EXPECT_EQ(stats.buffers, 2u);
+
+    em3d.reset();
+    cache.clear();
+    stats = cache.stats();
+    EXPECT_EQ(stats.buffers, 0u);
+    EXPECT_EQ(stats.bytes, 0u);
+}
+
+TEST_F(TraceCacheTest, UnplannedRebuildKeepsOtherReadersPlanned)
+{
+    // Three jobs planned on one stream; the first job's failed attempt
+    // is rebuilt, which must not use up a reader counted for the
+    // other two.
+    TraceCache &cache = TraceCache::instance();
+    TraceReadPlan plan;
+    for (int r = 0; r < 3; ++r)
+        plan.addReader("Streaming", 0, 3, /*translated=*/false);
+    cache.acquire("Streaming", 0, 3)->next();
+    {
+        const UnplannedTraceReads retry;
+        cache.acquire("Streaming", 0, 3)->next();
+    }
+    cache.acquire("Streaming", 0, 3)->next();
+    EXPECT_EQ(cache.stats().buffers, 1u) << "second job was not last";
+    cache.acquire("Streaming", 0, 3)->next();
+    const TraceCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.buffers, 0u) << "third job is the last reader";
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, 3u);
+    EXPECT_EQ(stats.bypasses, 0u);
+}
+
+/**
+ * Three jobs on one trace stream plus one on a stream of its own, so
+ * a planned sweep both shares and streams.
+ */
+std::vector<SweepJob>
+sharedAndPrivateJobs()
+{
+    std::vector<SweepJob> jobs;
+    const auto add = [&jobs](const char *workload, PrefetcherKind kind,
+                             std::uint64_t seed) {
+        SweepJob job;
+        job.workload = workload;
+        job.config = SystemConfig::singleCore();
+        job.config.prefetcher.kind = kind;
+        job.options.warmup_instructions = 5000;
+        job.options.measure_instructions = 20000;
+        job.options.seed = seed;
+        jobs.push_back(job);
+    };
+    add("Data Serving", PrefetcherKind::None, 42);
+    add("Data Serving", PrefetcherKind::Bop, 42);
+    add("Data Serving", PrefetcherKind::Bingo, 42);
+    add("SAT Solver", PrefetcherKind::Bingo, 43);
+    return jobs;
+}
+
+/** Filename -> contents of every journal record under `dir`. */
+std::map<std::string, std::string>
+journalSnapshot(const std::string &dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        std::ifstream in(entry.path(), std::ios::binary);
+        files.emplace(entry.path().filename().string(),
+                      std::string(std::istreambuf_iterator<char>(in),
+                                  std::istreambuf_iterator<char>()));
+    }
+    return files;
+}
+
+/** The jobs as one journaled two-thread sweep under `budget`. */
+std::map<std::string, std::string>
+journaledSweep(std::uint64_t budget, const std::string &tag)
+{
+    TraceCache::instance().clear();
+    TraceCache::instance().setBudgetBytes(budget);
+    const test::TempDir dir("trace_plan_" + tag);
+    const test::EnvVar journal("BINGO_JOURNAL_DIR", dir.path());
+    for (const JobOutcome &outcome :
+         runSweepOutcomes(sharedAndPrivateJobs(), 2))
+        EXPECT_TRUE(outcome.ok()) << outcome.error;
+    return journalSnapshot(dir.path());
+}
+
+TEST_F(TraceCacheTest, PlannedSweepJournalsMatchSharingOff)
+{
+    const auto planned = journaledSweep(512ull << 20, "planned");
+    const TraceCacheStats stats = TraceCache::instance().stats();
+    EXPECT_EQ(stats.hits, 2u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.bypasses, 1u);
+    EXPECT_EQ(stats.buffers, 0u);
+
+    const auto off = journaledSweep(0, "off");
+    // One record per job, plus the sweep manifest.
+    EXPECT_EQ(planned.size(), sharedAndPrivateJobs().size() + 1);
+    EXPECT_EQ(planned, off);
+}
+
+TEST_F(TraceCacheTest, SweepPlansItsBaselineReaders)
+{
+    // Job and baseline share core 0's stream; the four-core default
+    // baseline machine alone reads cores 1-3.
+    TraceCache::instance().setBudgetBytes(512ull << 20);
+    std::vector<SweepJob> jobs = sharedAndPrivateJobs();
+    jobs[1].compare_baseline = true;
+    for (const JobOutcome &outcome : runSweepOutcomes(jobs, 2))
+        EXPECT_TRUE(outcome.ok()) << outcome.error;
+    const TraceCacheStats stats = TraceCache::instance().stats();
+    EXPECT_EQ(stats.hits, 3u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.bypasses, 1u + 3u);
+    EXPECT_EQ(stats.buffers, 0u);
 }
 
 } // namespace

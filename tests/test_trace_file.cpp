@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+
+#include <unistd.h>
 
 #include "common/rng.hpp"
 #include "workload/trace_file.hpp"
@@ -21,7 +24,13 @@ class TraceFileTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "bingo_trace_test.bin";
+        // One file per test case and process: ctest runs the cases
+        // of this fixture concurrently.
+        path_ = ::testing::TempDir() + "bingo_trace_test_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                "_" + std::to_string(::getpid()) + ".bin";
     }
 
     void

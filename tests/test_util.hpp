@@ -1,15 +1,24 @@
 /**
  * @file
  * Shared test fixtures: a scriptable trace source, a controllable
- * fake memory level, and small builders for common configurations.
+ * fake memory level, small builders for common configurations, and
+ * scoped environment variables and scratch directories.
  */
 
 #ifndef BINGO_TESTS_TEST_UTIL_HPP
 #define BINGO_TESTS_TEST_UTIL_HPP
 
+#include <gtest/gtest.h>
+
+#include <cstdlib>
 #include <deque>
+#include <filesystem>
 #include <functional>
+#include <string>
+#include <system_error>
 #include <vector>
+
+#include <unistd.h>
 
 #include "cache/cache.hpp"
 #include "common/types.hpp"
@@ -108,6 +117,57 @@ regionBlock(Addr region, unsigned offset)
 {
     return region * kRegionSize + static_cast<Addr>(offset) * kBlockSize;
 }
+
+/** Set an environment variable for one scope, restoring on exit. */
+class EnvVar
+{
+  public:
+    EnvVar(const char *name, const std::string &value) : name_(name)
+    {
+        const char *old = std::getenv(name);
+        if (old != nullptr) {
+            had_old_ = true;
+            old_ = old;
+        }
+        ::setenv(name, value.c_str(), 1);
+    }
+
+    ~EnvVar()
+    {
+        if (had_old_)
+            ::setenv(name_.c_str(), old_.c_str(), 1);
+        else
+            ::unsetenv(name_.c_str());
+    }
+
+  private:
+    std::string name_;
+    std::string old_;
+    bool had_old_ = false;
+};
+
+/** Unique per-process scratch directory (removed on destruction). */
+class TempDir
+{
+  public:
+    explicit TempDir(const std::string &tag)
+        : path_(::testing::TempDir() + "bingo_" + tag + "_" +
+                std::to_string(::getpid()))
+    {
+        std::filesystem::remove_all(path_);
+    }
+
+    ~TempDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path_, ec);
+    }
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
 
 } // namespace bingo::test
 
