@@ -297,30 +297,31 @@ BM_WayTagLookupSimd(benchmark::State &state)
 BENCHMARK(BM_WayTagLookupSimd)->Arg(0)->Arg(1);
 
 /**
- * Replaying an already-generated trace from the shared cache — the
- * per-job cost a sweep pays after the first run of a workload.
- * Compare against BM_WorkloadGeneration for the memoization win.
+ * Replaying an already-generated trace from the shared cache through
+ * the op pull a core fetches with — the per-job cost a sweep pays
+ * after the first run of a workload. Compare against
+ * BM_WorkloadGeneration for the memoization win.
  */
 void
 BM_TraceCacheHit(benchmark::State &state)
 {
+    constexpr std::size_t kPull = 64;
+    // Rewind well inside the first chunk so the buffer stops growing.
+    constexpr std::size_t kRewindPulls = (std::size_t{1} << 20) / kPull;
     TraceCache &cache = TraceCache::instance();
     auto source = cache.acquire("Data Serving", 0, 42);
-    std::array<TraceRecord, 256> batch;
-    source->nextBatch(batch.data(), batch.size());  // Commit chunk 0.
-    std::size_t reads = 1;
+    std::array<TraceOp, kPull> ops;
+    std::size_t pulls = 0;
     for (auto _ : state) {
-        source->nextBatch(batch.data(), batch.size());
-        benchmark::DoNotOptimize(batch);
-        // Wrap within the committed chunk so the buffer never grows:
-        // re-acquiring (a cache hit) rewinds the replay cursor.
-        if (++reads * batch.size() >=
-            TraceBuffer::kChunkRecords - batch.size()) {
+        benchmark::DoNotOptimize(source->nextOps(ops.data(), kPull));
+        benchmark::DoNotOptimize(ops);
+        // Re-acquiring (a cache hit) rewinds the replay cursor.
+        if (++pulls == kRewindPulls) {
             source = cache.acquire("Data Serving", 0, 42);
-            reads = 0;
+            pulls = 0;
         }
     }
-    state.SetItemsProcessed(state.iterations() * batch.size());
+    state.SetItemsProcessed(state.iterations() * kPull);
     state.SetLabel(cache.enabled() ? "cached" : "bypass");
 }
 BENCHMARK(BM_TraceCacheHit);
@@ -692,25 +693,31 @@ batchedSummary()
 }
 
 /**
- * Generation vs cached-replay wall time over one chunk of records,
- * plus the cache's own counters, as a JSON fragment.
+ * Generation vs cached-replay wall time over 64 Ki instructions, pulled
+ * as ops in the core's fetch-sized pieces, plus the cache's own
+ * counters, as a JSON fragment.
  */
 std::string
 traceCacheSummary()
 {
     TraceCache &cache = TraceCache::instance();
-    const std::size_t n = TraceBuffer::kChunkRecords;
-    std::vector<TraceRecord> sink(n);
+    constexpr std::size_t kInstructions = std::size_t{1} << 16;
+    constexpr std::size_t kPull = 64;
+    std::array<TraceOp, kPull> ops;
+    const auto pullAll = [&ops](TraceSource &source) {
+        for (std::size_t done = 0; done < kInstructions; done += kPull)
+            benchmark::DoNotOptimize(source.nextOps(ops.data(), kPull));
+    };
 
-    const double generate = timeIt(3, [&sink, n] {
+    const double generate = timeIt(3, [&pullAll] {
         auto source = makeWorkload("Data Serving", 1, 4242);
-        source->nextBatch(sink.data(), n);
+        pullAll(*source);
     });
     auto primer = cache.acquire("Data Serving", 1, 4242);
-    primer->nextBatch(sink.data(), n);
-    const double replay = timeIt(3, [&cache, &sink, n] {
+    pullAll(*primer);
+    const double replay = timeIt(3, [&cache, &pullAll] {
         auto source = cache.acquire("Data Serving", 1, 4242);
-        source->nextBatch(sink.data(), n);
+        pullAll(*source);
     });
 
     const TraceCacheStats stats = cache.stats();

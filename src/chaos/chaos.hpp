@@ -183,15 +183,17 @@ class ChaosEngine
 
 /**
  * Trace-corruption layer: wraps a core's raw source and bit-flips the
- * virtual address or PC of records at the chaos rate, before address
- * translation (so corruption lands anywhere in the 64-bit virtual
- * space and the translation layer's own guards stay exercised). The
- * instruction type is never touched — the stream stays well-formed;
- * the corruption models wrong *data*, not an undecodable trace.
- * next() and nextBatch() draw identically per record, so batching
- * cores and single-stepping tests see the same schedule.
+ * virtual address or PC of instructions at the chaos rate, before
+ * address translation (so corruption lands anywhere in the 64-bit
+ * virtual space and the translation layer's own guards stay
+ * exercised). The instruction type is never touched — the stream
+ * stays well-formed; the corruption models wrong *data*, not an
+ * undecodable trace. Every instruction pulled is one opportunity,
+ * however the stream is pulled, so batching cores and single-stepping
+ * tests see the same schedule. A non-memory instruction's fields are
+ * never read, so its draws only advance the schedule and the counter.
  */
-class ChaosTraceSource : public TraceSource
+class ChaosTraceSource : public OpTraceSource
 {
   public:
     ChaosTraceSource(std::unique_ptr<TraceSource> inner, double rate,
@@ -201,34 +203,34 @@ class ChaosTraceSource : public TraceSource
     {
     }
 
-    TraceRecord
-    next() override
+    std::size_t
+    nextOps(TraceOp *out, std::size_t instructions) override
     {
-        TraceRecord rec = inner_->next();
-        maybeCorrupt(rec);
-        return rec;
-    }
-
-    void
-    nextBatch(TraceRecord *out, std::size_t count) override
-    {
-        inner_->nextBatch(out, count);
-        for (std::size_t i = 0; i < count; ++i)
-            maybeCorrupt(out[i]);
+        const std::size_t count = inner_->nextOps(out, instructions);
+        for (std::size_t i = 0; i < count; ++i) {
+            Addr pc = 0;
+            Addr addr = 0;
+            for (std::uint32_t a = 0; a < out[i].alu; ++a)
+                maybeCorrupt(pc, addr);
+            if (out[i].type != InstrType::Alu)
+                maybeCorrupt(out[i].pc, out[i].addr);
+        }
+        return count;
     }
 
   private:
+    /** One opportunity: maybe flip one bit of `addr` or `pc`. */
     void
-    maybeCorrupt(TraceRecord &rec)
+    maybeCorrupt(Addr &pc, Addr &addr)
     {
         if (!rng_.chance(rate_))
             return;
         const std::uint64_t pick = rng_.next();
         const unsigned bit = static_cast<unsigned>(rng_.below(64));
         if (pick & 1)
-            rec.addr ^= 1ULL << bit;
+            addr ^= 1ULL << bit;
         else
-            rec.pc ^= 1ULL << bit;
+            pc ^= 1ULL << bit;
         ++*counter_;
     }
 

@@ -117,6 +117,34 @@ struct TraceRecord
     bool dependent = false;
 };
 
+/**
+ * The trace pipeline's unit of work: a run of `alu` non-memory
+ * instructions followed by at most one explicit Load, Store or Branch.
+ * Nothing in the model reads a non-memory instruction's pc or address,
+ * so a run travels as one count from the generators to the core, and
+ * costs the same at every layer whatever its length. Expanded back to
+ * records, the run's instructions carry pc 0.
+ */
+struct TraceOp
+{
+    Addr pc = 0;     ///< pc of the explicit instruction.
+    Addr addr = 0;   ///< Byte address of an explicit Load/Store.
+    std::uint32_t alu = 0;  ///< Non-memory instructions before it.
+    /// Type of the explicit instruction; Alu means there is none and
+    /// the op is a bare run of `alu` instructions.
+    InstrType type = InstrType::Alu;
+    bool dependent = false;  ///< As TraceRecord::dependent.
+
+    /** Instructions this op stands for. */
+    std::uint64_t
+    instructions() const
+    {
+        return std::uint64_t{alu} + (type != InstrType::Alu ? 1 : 0);
+    }
+};
+
+static_assert(sizeof(TraceOp) == 24, "TraceOp must stay 24 bytes");
+
 } // namespace bingo
 
 #endif // BINGO_COMMON_TYPES_HPP

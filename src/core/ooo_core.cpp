@@ -106,88 +106,66 @@ OooCore::dispatch(Cycle now)
     bool noted_lsq_full = false;
 
     while (dispatched < config_.width) {
-        if (rob_tail_ - rob_head_ >= rob_capacity_) {
+        const std::uint64_t occupied = rob_tail_ - rob_head_;
+        if (occupied >= rob_capacity_) {
             if (!noted_rob_full) {
                 ++stats_.rob_full_cycles;
                 noted_rob_full = true;
             }
             break;
         }
-        if (!record_held_) {
-            if (fetch_pos_ == fetch_end_) {
-                std::size_t got = 0;
-                if (const TraceRecord *run =
-                        trace_.borrowBatch(kFetchBatch, got)) {
-                    fetch_data_ = run;
-                    fetch_runs_ = trace_.borrowRuns();
-                    fetch_end_ = static_cast<std::uint32_t>(got);
-                } else {
-                    trace_.nextBatch(fetch_buffer_.data(),
-                                     kFetchBatch);
-                    fetch_data_ = fetch_buffer_.data();
-                    fetch_runs_ = nullptr;
-                    fetch_end_ = kFetchBatch;
-                }
-                fetch_pos_ = 0;
-            }
-            // Fast path: a precomputed run of non-memory records
-            // collapses into one pass — per slot only the completion
-            // cycle is written (plus the branch count). Equivalent to
-            // the per-record path below: ALU and branch latency are
-            // the same, non-memory dispatch touches neither the LSQ
-            // nor the dependent-load state, and a slot's `seq` and
-            // `deferred` fields are only ever read for load slots,
-            // which always (re)write them at dispatch. The run is
-            // re-clipped every iteration so the ROB-full and width
-            // checks fire exactly where per-record dispatch would
-            // note them.
-            if (fetch_runs_ != nullptr &&
-                fetch_runs_[fetch_pos_] > 0) {
-                std::uint64_t take = fetch_runs_[fetch_pos_];
-                const std::uint64_t rob_space =
-                    rob_capacity_ - (rob_tail_ - rob_head_);
-                if (take > config_.width - dispatched)
-                    take = config_.width - dispatched;
-                if (take > fetch_end_ - fetch_pos_)
-                    take = fetch_end_ - fetch_pos_;
-                if (take > rob_space)
-                    take = rob_space;
-                const Cycle done = now + config_.alu_latency;
-                const TraceRecord *recs = fetch_data_ + fetch_pos_;
-                std::uint64_t branches = 0;
-                for (std::uint64_t i = 0; i < take; ++i) {
-                    rob_[(rob_tail_ + i) & rob_mask_].done = done;
-                    branches +=
-                        recs[i].type == InstrType::Branch ? 1 : 0;
-                }
-                rob_tail_ += take;
-                stats_.branches += branches;
-                fetch_pos_ += static_cast<std::uint32_t>(take);
-                dispatched += static_cast<unsigned>(take);
-                continue;
-            }
-            record_held_ = true;
+        if (fetch_pos_ == fetch_end_) {
+            fetch_end_ = static_cast<std::uint32_t>(
+                trace_.nextOps(fetch_ops_.data(), kFetchBatch));
+            fetch_pos_ = 0;
         }
-        const TraceRecord &rec = fetch_data_[fetch_pos_];
+        TraceOp &op = fetch_ops_[fetch_pos_];
 
-        const bool is_mem = rec.type == InstrType::Load ||
-                            rec.type == InstrType::Store;
+        // A run of non-memory instructions dispatches as far as width
+        // and ROB space allow in one pass: per slot only the
+        // completion cycle is written. Equivalent to dispatching them
+        // one by one: they touch neither the LSQ nor the
+        // dependent-load state, and a slot's `seq` and `deferred` are
+        // only ever read for load slots, which rewrite them at
+        // dispatch.
+        if (op.alu > 0) {
+            std::uint64_t take = op.alu;
+            if (take > config_.width - dispatched)
+                take = config_.width - dispatched;
+            if (take > rob_capacity_ - occupied)
+                take = rob_capacity_ - occupied;
+            const Cycle done = now + config_.alu_latency;
+            for (std::uint64_t i = 0; i < take; ++i)
+                rob_[(rob_tail_ + i) & rob_mask_].done = done;
+            rob_tail_ += take;
+            op.alu -= static_cast<std::uint32_t>(take);
+            dispatched += static_cast<unsigned>(take);
+            if (op.alu == 0 && op.type == InstrType::Alu)
+                ++fetch_pos_;
+            continue;
+        }
+
+        const bool is_mem = op.type == InstrType::Load ||
+                            op.type == InstrType::Store;
         if (is_mem && lsq_used_ >= config_.lsq_entries) {
+            record_held_ = true;
             if (!noted_lsq_full) {
                 ++stats_.lsq_full_cycles;
                 noted_lsq_full = true;
             }
             break;
         }
+        if (op.type == InstrType::Alu)
+            throw SimError("core" + std::to_string(id_), now,
+                           "trace op covers no instruction");
 
         const std::uint64_t seq = rob_tail_++;
         RobSlot &slot = rob_[seq & rob_mask_];
         slot.seq = seq;
         slot.done = kNeverCycle;
 
-        switch (rec.type) {
-          case InstrType::Alu:
-            slot.done = now + config_.alu_latency;
+        switch (op.type) {
+          case InstrType::Alu:  // Rejected above.
             break;
           case InstrType::Branch:
             slot.done = now + config_.alu_latency;
@@ -198,14 +176,14 @@ OooCore::dispatch(Cycle now)
             ++lsq_used_;
             slot.deferred.clear();
             MemAccess access;
-            access.block = blockAlign(rec.addr);
-            access.pc = rec.pc;
+            access.block = blockAlign(op.addr);
+            access.pc = op.pc;
             access.core = id_;
             access.type = AccessType::Load;
             // A dependent load dereferences the previous load's data:
             // hold it until that load completes.
             bool deferred = false;
-            if (rec.dependent && has_last_load_) {
+            if (op.dependent && has_last_load_) {
                 RobSlot &prev = rob_[last_load_seq_ & rob_mask_];
                 if (prev.seq == last_load_seq_ &&
                     prev.done == kNeverCycle) {
@@ -226,8 +204,8 @@ OooCore::dispatch(Cycle now)
             // the LSQ entry models store-buffer pressure until then.
             slot.done = now + config_.alu_latency;
             MemAccess access;
-            access.block = blockAlign(rec.addr);
-            access.pc = rec.pc;
+            access.block = blockAlign(op.addr);
+            access.pc = op.pc;
             access.core = id_;
             access.type = AccessType::Store;
             l1d_.access(access, now,

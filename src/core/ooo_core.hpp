@@ -15,7 +15,9 @@
 #ifndef BINGO_CORE_OOO_CORE_HPP
 #define BINGO_CORE_OOO_CORE_HPP
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -29,7 +31,86 @@
 namespace bingo
 {
 
-/** Pull-based instruction stream feeding a core. */
+/**
+ * Append `op` after the `count` ops in `out`, folding it into a bare
+ * run that ends them, so runs split across pieces come back together.
+ * Returns the new op count.
+ */
+inline std::size_t
+appendOp(TraceOp *out, std::size_t count, const TraceOp &op)
+{
+    if (count > 0 && out[count - 1].type == InstrType::Alu) {
+        TraceOp &last = out[count - 1];
+        const std::uint32_t alu = last.alu + op.alu;
+        last = op;
+        last.alu = alu;
+        return count;
+    }
+    out[count] = op;
+    return count + 1;
+}
+
+/**
+ * Read position inside a stored op sequence that a pull may end in
+ * the middle of: the ALU instructions of the current op already handed
+ * out.
+ */
+class OpCursor
+{
+  public:
+    /**
+     * Append ops from `src[0, avail)` to `out` (holding `count` ops)
+     * until `instructions` more are covered or `src` runs out, and
+     * lower `instructions` by what was covered. An op longer than
+     * what is left is split: its leading ALU instructions go out as a
+     * bare run and the rest stays for the next call. Returns how many
+     * ops of `src` were used up.
+     */
+    std::size_t
+    take(const TraceOp *src, std::size_t avail, TraceOp *out,
+         std::size_t &count, std::size_t &instructions)
+    {
+        std::size_t used = 0;
+        while (used < avail && instructions > 0) {
+            TraceOp op = src[used];
+            op.alu -= skip_;
+            if (op.instructions() > instructions) {
+                // Only a run can straddle the cut: the op has at
+                // least `instructions` ALU instructions left.
+                const auto run = static_cast<std::uint32_t>(instructions);
+                count = appendOp(out, count, TraceOp{0, 0, run});
+                skip_ += run;
+                instructions = 0;
+                break;
+            }
+            count = appendOp(out, count, op);
+            instructions -= op.instructions();
+            skip_ = 0;
+            ++used;
+        }
+        return used;
+    }
+
+  private:
+    std::uint32_t skip_ = 0;
+};
+
+/**
+ * Pull-based instruction stream feeding a core.
+ *
+ * A stream can be read two ways. nextOps() is the pipeline's own: it
+ * hands out TraceOps, so a run of non-memory instructions costs one
+ * op however long it is; the core, the trace cache and every
+ * generator-side layer move the stream this way. next() and
+ * nextBatch() expand the same stream into one TraceRecord per
+ * instruction, for trace files, tests and tools that want records.
+ * Sources are infinite: generators run forever and file replay wraps.
+ *
+ * Sources that store records (trace files, test scripts) implement
+ * next() only and inherit an op pull built on it. Sources that store
+ * ops derive from OpTraceSource, which expands records from
+ * nextOps().
+ */
 class TraceSource
 {
   public:
@@ -39,13 +120,8 @@ class TraceSource
     virtual TraceRecord next() = 0;
 
     /**
-     * Fill `out` with the next `count` records — exactly the sequence
-     * `count` next() calls would produce (sources are infinite:
-     * generators run forever and file replay wraps). The core pulls
-     * its instruction stream through this in blocks so the per-record
-     * virtual hop and copy chain is paid once per block, not once per
-     * instruction; layered sources should override it and forward in
-     * bulk for the same reason.
+     * Fill `out` with the next `count` records: exactly the sequence
+     * `count` next() calls would produce.
      */
     virtual void
     nextBatch(TraceRecord *out, std::size_t count)
@@ -55,38 +131,75 @@ class TraceSource
     }
 
     /**
-     * Zero-copy variant of nextBatch(): return a pointer to the next
-     * run of up to `want` records in source-owned storage and advance
-     * the stream past them, with `got` receiving the run length
-     * (1 <= got <= want). The run (and its borrowRuns() sidecar)
-     * stays valid until the next call on this source, which may
-     * overwrite it; OooCore::dispatch re-borrows only once it has
-     * consumed the whole run. Sources without such storage return
-     * nullptr (got = 0) and the caller falls back to nextBatch();
-     * layered sources that transform records must not forward a
-     * borrow from their inner source.
+     * Write ops covering exactly the next `instructions` instructions
+     * to `out` and return how many were written. A run that crosses
+     * the cut is split; the rest opens the next pull. `out` must hold
+     * `instructions` ops (every op covers at least one instruction),
+     * and `instructions` must be below 2^32. Whatever storage the
+     * source used is its own again once the call returns.
      */
-    virtual const TraceRecord *
-    borrowBatch(std::size_t want, std::size_t &got)
+    virtual std::size_t
+    nextOps(TraceOp *out, std::size_t instructions)
     {
-        (void)want;
-        got = 0;
-        return nullptr;
+        std::size_t count = 0;
+        for (std::size_t i = 0; i < instructions; ++i) {
+            const TraceRecord rec = next();
+            count = appendOp(out, count,
+                             rec.type == InstrType::Alu
+                                 ? TraceOp{0, 0, 1}
+                                 : TraceOp{rec.pc, rec.addr, 0, rec.type,
+                                           rec.dependent});
+        }
+        return count;
+    }
+};
+
+/**
+ * Base of the sources whose native unit is the op: next() and
+ * nextBatch() expand records from nextOps(), with non-memory
+ * instructions at pc 0.
+ */
+class OpTraceSource : public TraceSource
+{
+  public:
+    TraceRecord
+    next() override
+    {
+        TraceOp op;
+        nextOps(&op, 1);
+        return record(op);
     }
 
-    /**
-     * Non-memory run-length sidecar of the window the last
-     * borrowBatch() call returned, aligned with it: entry i is the
-     * number of consecutive non-load/store records starting at window
-     * index i (0 when record i is a load or store), saturated at 255
-     * and possibly clipped earlier — a conservative lower bound. The
-     * dispatch loop uses it to consume compute bursts in one step
-     * instead of record by record. Sources without precomputed runs
-     * (including every layered/transforming source) return nullptr
-     * and the core falls back to per-record dispatch, which is
-     * bit-identical by construction.
-     */
-    virtual const std::uint8_t *borrowRuns() const { return nullptr; }
+    void
+    nextBatch(TraceRecord *out, std::size_t count) override
+    {
+        // Raw storage: nextOps() writes every op it returns, so the
+        // buffer needs no per-call initialization.
+        constexpr std::size_t kPiece = 256;
+        alignas(TraceOp) std::byte raw[kPiece * sizeof(TraceOp)];
+        TraceOp *ops = reinterpret_cast<TraceOp *>(raw);
+        while (count > 0) {
+            const std::size_t piece = count < kPiece ? count : kPiece;
+            const std::size_t n = nextOps(ops, piece);
+            for (std::size_t i = 0; i < n; ++i) {
+                out = std::fill_n(out, ops[i].alu, TraceRecord{});
+                if (ops[i].type != InstrType::Alu)
+                    *out++ = record(ops[i]);
+            }
+            count -= piece;
+        }
+    }
+
+    std::size_t nextOps(TraceOp *out,
+                        std::size_t instructions) override = 0;
+
+  private:
+    /** The record of `op`'s explicit instruction (a bare one if none). */
+    static TraceRecord
+    record(const TraceOp &op)
+    {
+        return TraceRecord{op.pc, op.addr, op.type, op.dependent};
+    }
 };
 
 /** Counters exported by a core. */
@@ -244,7 +357,9 @@ class OooCore
     Cache &l1d_;
     TraceSource &trace_;
 
-    /// Records read ahead from the trace in one nextBatch() call.
+    /// Instructions read ahead from the trace in one nextOps() call.
+    /// Chaos trace corruption draws per instruction pulled, so this
+    /// granularity is part of every fault schedule.
     static constexpr std::size_t kFetchBatch = 64;
 
     /// ROB storage, sized to the next power of two above the
@@ -260,20 +375,13 @@ class OooCore
     unsigned lsq_used_ = 0;
     std::uint64_t last_load_seq_ = 0;
     bool has_last_load_ = false;
-    std::array<TraceRecord, kFetchBatch> fetch_buffer_;
-    /// Current fetch window: either fetch_buffer_.data() (records
-    /// copied in via nextBatch) or a run borrowed zero-copy from the
-    /// source's own storage (borrowBatch).
-    const TraceRecord *fetch_data_ = nullptr;
-    /// Run-length sidecar aligned with fetch_data_ when the source
-    /// provides one (borrowRuns()), nullptr otherwise. Lets dispatch
-    /// collapse a burst of non-memory records into one pass.
-    const std::uint8_t *fetch_runs_ = nullptr;
-    std::uint32_t fetch_pos_ = 0;  ///< Next unconsumed window slot.
-    std::uint32_t fetch_end_ = 0;  ///< One past the last valid slot.
-    /// Dispatch pulled fetch_buffer_[fetch_pos_] but could not place
-    /// it (always a memory record blocked on a full LSQ) — the exact
-    /// analogue of the former held "stalled record".
+    /// Fetched ops; dispatch lowers the head op's `alu` as it
+    /// dispatches the run in place.
+    std::array<TraceOp, kFetchBatch> fetch_ops_;
+    std::uint32_t fetch_pos_ = 0;  ///< Next undispatched op.
+    std::uint32_t fetch_end_ = 0;  ///< One past the last fetched op.
+    /// The explicit memory instruction of fetch_ops_[fetch_pos_]
+    /// reached dispatch and the LSQ blocked it.
     bool record_held_ = false;
 
     /// A completion callback arrived since the last step (see

@@ -49,8 +49,8 @@ std::optional<bool> g_skip_default_override;
 
 /**
  * Without trace-site chaos a System takes its streams pre-composed
- * with the (seed-determined) address translation, so cached replay is
- * a raw borrow with no per-record work; trace chaos must corrupt
+ * with the (seed-determined) address translation, so cached replay
+ * needs no per-instruction work; trace chaos must corrupt
  * *virtual* addresses, so those runs take the virtual stream and
  * layer corruption + translation per System in build().
  */
@@ -134,7 +134,7 @@ System::build(std::vector<std::unique_ptr<TraceSource>> sources,
             // The stream already carries physical addresses (composed
             // with the same seed-derived translation at generation
             // time): hand it to the core untouched, so cached replay
-            // stays a zero-copy borrow.
+            // needs no translation pass.
             sources_.push_back(std::move(source));
             continue;
         }

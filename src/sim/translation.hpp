@@ -54,8 +54,8 @@ class AddressTranslator
     std::uint64_t salt_;
 };
 
-/** TraceSource adapter translating every memory record. */
-class TranslatingSource : public TraceSource
+/** TraceSource adapter translating every memory instruction. */
+class TranslatingSource : public OpTraceSource
 {
   public:
     TranslatingSource(std::unique_ptr<TraceSource> inner,
@@ -64,27 +64,17 @@ class TranslatingSource : public TraceSource
     {
     }
 
-    TraceRecord
-    next() override
+    std::size_t
+    nextOps(TraceOp *out, std::size_t instructions) override
     {
-        TraceRecord rec = inner_->next();
-        if (rec.type == InstrType::Load ||
-            rec.type == InstrType::Store) {
-            rec.addr = translator_.translate(rec.addr);
-        }
-        return rec;
-    }
-
-    void
-    nextBatch(TraceRecord *out, std::size_t count) override
-    {
-        inner_->nextBatch(out, count);
+        const std::size_t count = inner_->nextOps(out, instructions);
         for (std::size_t i = 0; i < count; ++i) {
             if (out[i].type == InstrType::Load ||
                 out[i].type == InstrType::Store) {
                 out[i].addr = translator_.translate(out[i].addr);
             }
         }
+        return count;
     }
 
   private:

@@ -1,5 +1,6 @@
 #include "workload/generator.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace bingo
@@ -22,39 +23,48 @@ InterleavedSource::InterleavedSource(
     }
 }
 
+void
+InterleavedSource::switchIfDone()
+{
+    if (remaining_ > 0)
+        return;
+    current_ = strict_ ? (current_ + 1) % sources_.size()
+                       : rng_.below(sources_.size());
+    remaining_ = static_cast<unsigned>(rng_.range(min_run_, max_run_));
+}
+
 TraceRecord
 InterleavedSource::next()
 {
-    if (remaining_ == 0) {
-        current_ = strict_ ? (current_ + 1) % sources_.size()
-                           : rng_.below(sources_.size());
-        remaining_ = static_cast<unsigned>(
-            rng_.range(min_run_, max_run_));
-    }
+    switchIfDone();
     --remaining_;
     return sources_[current_]->next();
 }
 
-void
-InterleavedSource::nextBatch(TraceRecord *out, std::size_t count)
+std::size_t
+InterleavedSource::nextOps(TraceOp *out, std::size_t instructions)
 {
-    // Same record stream as `count` next() calls — run selection and
-    // its rng draws happen in the same order — but each run is pulled
-    // from its sub-source in one bulk request.
-    std::size_t filled = 0;
-    while (filled < count) {
-        if (remaining_ == 0) {
-            current_ = strict_ ? (current_ + 1) % sources_.size()
-                               : rng_.below(sources_.size());
-            remaining_ = static_cast<unsigned>(
-                rng_.range(min_run_, max_run_));
-        }
+    // The instruction stream of next(), cut at the same switch
+    // points; a run split by a switch is joined back up when the next
+    // sub-source's piece begins with non-memory instructions.
+    std::size_t count = 0;
+    while (instructions > 0) {
+        switchIfDone();
         const std::size_t take =
-            std::min<std::size_t>(count - filled, remaining_);
-        sources_[current_]->nextBatch(out + filled, take);
+            std::min<std::size_t>(instructions, remaining_);
+        TraceOp *piece = out + count;
+        const std::size_t got = sources_[current_]->nextOps(piece, take);
+        if (count > 0 && out[count - 1].type == InstrType::Alu) {
+            count = appendOp(out, count, piece[0]);
+            std::copy(piece + 1, piece + got, out + count);
+            count += got - 1;
+        } else {
+            count += got;
+        }
         remaining_ -= static_cast<unsigned>(take);
-        filled += take;
+        instructions -= take;
     }
+    return count;
 }
 
 std::vector<RecordClass>

@@ -33,107 +33,104 @@
 namespace bingo
 {
 
-/** TraceSource producing records burst-by-burst. */
-class BurstSource : public TraceSource
+/**
+ * TraceSource producing its stream burst by burst: subclasses
+ * implement refill(), which appends one burst ("transaction", such as
+ * one record visit or one pointer chase) of instructions. A burst is
+ * held as ops, so emitting a run of non-memory instructions is one
+ * append whatever its length.
+ */
+class BurstSource : public OpTraceSource
 {
   public:
     explicit BurstSource(std::uint64_t seed) : rng_(seed) {}
 
-    TraceRecord
-    next() override
+    std::size_t
+    nextOps(TraceOp *out, std::size_t instructions) override
     {
-        while (head_ >= queue_.size()) {
-            queue_.clear();
-            head_ = 0;
-            refill();
-        }
-        return queue_[head_++];
-    }
-
-    void
-    nextBatch(TraceRecord *out, std::size_t count) override
-    {
-        std::size_t filled = 0;
-        while (filled < count) {
-            while (head_ >= queue_.size()) {
+        std::size_t count = 0;
+        while (instructions > 0) {
+            if (head_ == queue_.size()) {
                 queue_.clear();
                 head_ = 0;
                 refill();
             }
-            const std::size_t take = std::min(
-                count - filled, queue_.size() - head_);
-            std::copy_n(queue_.begin() +
-                            static_cast<std::ptrdiff_t>(head_),
-                        take, out + filled);
-            head_ += take;
-            filled += take;
+            head_ += cursor_.take(queue_.data() + head_,
+                                  queue_.size() - head_, out, count,
+                                  instructions);
         }
+        return count;
     }
 
   protected:
-    /** Produce the next burst; must emit at least one record. */
+    /** Produce the next burst; must emit at least one instruction. */
     virtual void refill() = 0;
-
-    void
-    emit(const TraceRecord &rec)
-    {
-        queue_.push_back(rec);
-    }
 
     void
     emitLoad(Addr pc, Addr addr)
     {
-        queue_.push_back(TraceRecord{pc, addr, InstrType::Load});
+        emitExplicit(pc, addr, InstrType::Load, false);
     }
 
     /** Load that dereferences the previous load's data (serializing). */
     void
     emitDependentLoad(Addr pc, Addr addr)
     {
-        queue_.push_back(
-            TraceRecord{pc, addr, InstrType::Load, /*dependent=*/true});
+        emitExplicit(pc, addr, InstrType::Load, /*dependent=*/true);
     }
 
     void
     emitStore(Addr pc, Addr addr)
     {
-        queue_.push_back(TraceRecord{pc, addr, InstrType::Store});
+        emitExplicit(pc, addr, InstrType::Store, false);
     }
 
-    /** Emit `count` non-memory instructions at synthetic PCs. */
+    /** Emit `count` non-memory instructions. */
     void
     emitAlu(unsigned count)
     {
-        for (unsigned i = 0; i < count; ++i) {
-            queue_.push_back(
-                TraceRecord{kAluPcBase + (alu_pc_++ & 0xff) * 4, 0,
-                            InstrType::Alu});
+        if (count == 0)
+            return;
+        if (!queue_.empty() && queue_.back().type == InstrType::Alu) {
+            queue_.back().alu += count;
+            return;
         }
+        queue_.push_back(TraceOp{0, 0, count});
     }
 
     Rng rng_;
 
   private:
-    static constexpr Addr kAluPcBase = 0x7f0000;
+    /** Close the pending run (if any) with an explicit instruction. */
+    void
+    emitExplicit(Addr pc, Addr addr, InstrType type, bool dependent)
+    {
+        if (queue_.empty() || queue_.back().type != InstrType::Alu)
+            queue_.emplace_back();
+        TraceOp &op = queue_.back();
+        op.pc = pc;
+        op.addr = addr;
+        op.type = type;
+        op.dependent = dependent;
+    }
 
-    /// Pending burst, consumed from `head_` and compacted when empty —
-    /// a flat vector beats a deque on the per-record hot path.
-    std::vector<TraceRecord> queue_;
+    /// Pending burst, consumed from `head_` and cleared when empty.
+    std::vector<TraceOp> queue_;
     std::size_t head_ = 0;
-    std::uint64_t alu_pc_ = 0;
+    OpCursor cursor_;
 };
 
 /**
  * Round-robin interleaver over several sub-sources, switching after a
  * random run length. Models concurrent request handling.
  */
-class InterleavedSource : public TraceSource
+class InterleavedSource : public OpTraceSource
 {
   public:
     /**
      * @param sources Sub-streams to interleave.
-     * @param min_run,max_run Records taken from one sub-stream before
-     *        switching.
+     * @param min_run,max_run Instructions taken from one sub-stream
+     *        before switching.
      * @param strict Strict round-robin instead of random selection.
      *        Random selection lets sub-stream progress drift apart (a
      *        random walk), which is right for independent requests;
@@ -145,11 +142,15 @@ class InterleavedSource : public TraceSource
                       unsigned min_run, unsigned max_run,
                       std::uint64_t seed, bool strict = false);
 
+    /** One record of the current sub-source, passed through as is. */
     TraceRecord next() override;
 
-    void nextBatch(TraceRecord *out, std::size_t count) override;
+    std::size_t nextOps(TraceOp *out, std::size_t instructions) override;
 
   private:
+    /** Pick the next sub-source and run length once a run is used up. */
+    void switchIfDone();
+
     std::vector<std::unique_ptr<TraceSource>> sources_;
     unsigned min_run_;
     unsigned max_run_;

@@ -1,7 +1,9 @@
 #include "workload/trace_cache.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 #include "common/hash.hpp"
 #include "common/sim_check.hpp"
@@ -19,20 +21,6 @@ constexpr std::uint64_t kDefaultBudgetMb = 512;
 
 /** Live UnplannedTraceReads scopes on this thread. */
 thread_local unsigned t_unplanned_scopes = 0;
-
-/** BINGO_TRACE_CACHE_MB: unset/empty -> default, 0 -> disabled. */
-std::uint64_t
-budgetFromEnv()
-{
-    const char *value = std::getenv("BINGO_TRACE_CACHE_MB");
-    if (value == nullptr || *value == '\0')
-        return kDefaultBudgetMb * kMebibyte;
-    char *end = nullptr;
-    const unsigned long long mb = std::strtoull(value, &end, 10);
-    if (end == value)
-        return kDefaultBudgetMb * kMebibyte;
-    return static_cast<std::uint64_t>(mb) * kMebibyte;
-}
 
 /**
  * Build one (workload, core, seed) generator chain: the raw workload
@@ -55,113 +43,56 @@ makeStream(const std::string &workload, CoreId core,
 }
 
 /**
- * Non-memory run-length sidecar of one freshly generated slice,
- * computed backward: runs[i] counts the consecutive non-memory
- * records starting at i, saturated at 255. The record past the slice
- * end is unknown (not generated yet), so runs are clipped there —
- * shorter than the true run is always safe for the dispatch fast
- * path.
+ * TraceSource running a private generator through one window of ops
+ * covering TraceBuffer::kCommitInstructions instructions, refilled in
+ * place. Nothing outlives the window.
  */
-void
-fillRunLengths(const TraceRecord *records, std::uint8_t *runs,
-               std::size_t count)
-{
-    std::uint8_t next = 0;
-    for (std::size_t i = count; i-- > 0;) {
-        const bool mem = records[i].type == InstrType::Load ||
-                         records[i].type == InstrType::Store;
-        next = mem ? std::uint8_t{0}
-                   : static_cast<std::uint8_t>(next < 255 ? next + 1
-                                                          : 255);
-        runs[i] = next;
-    }
-}
-
-/**
- * TraceSource running a private generator through one fixed window of
- * TraceBuffer::kCommitRecords records, refilled in place. The window
- * carries the same non-memory run-length sidecar a TraceBuffer slice
- * does, so dispatch runs and zero-copy borrows work as on a shared
- * replay, but nothing outlives the window: a borrowed run is valid
- * only until the next call on this source.
- */
-class StreamingTraceSource : public TraceSource
+class StreamingTraceSource : public OpTraceSource
 {
   public:
     /**
      * @param generator The stream's generator; owned.
-     * @param total_records Process-wide generated-record counter.
+     * @param total_records Process-wide generated-instruction counter.
      */
     StreamingTraceSource(std::unique_ptr<TraceSource> generator,
                          std::atomic<std::uint64_t> &total_records)
         : generator_(std::move(generator)),
-          total_records_(total_records), window_(kWindow),
-          runs_(kWindow)
+          total_records_(total_records), window_(kWindow)
     {
     }
 
-    TraceRecord
-    next() override
+    std::size_t
+    nextOps(TraceOp *out, std::size_t instructions) override
     {
-        if (pos_ == kWindow)
-            refill();
-        return window_[pos_++];
-    }
-
-    void
-    nextBatch(TraceRecord *out, std::size_t count) override
-    {
-        while (count > 0) {
-            if (pos_ == kWindow)
+        std::size_t count = 0;
+        while (instructions > 0) {
+            if (pos_ == end_)
                 refill();
-            const std::size_t take =
-                count < kWindow - pos_ ? count : kWindow - pos_;
-            std::memcpy(out, window_.data() + pos_,
-                        take * sizeof(TraceRecord));
-            out += take;
-            pos_ += take;
-            count -= take;
+            pos_ += cursor_.take(window_.data() + pos_, end_ - pos_, out,
+                                 count, instructions);
         }
-    }
-
-    const TraceRecord *
-    borrowBatch(std::size_t want, std::size_t &got) override
-    {
-        if (pos_ == kWindow)
-            refill();
-        got = want < kWindow - pos_ ? want : kWindow - pos_;
-        borrowed_runs_ = runs_.data() + pos_;
-        const TraceRecord *run = window_.data() + pos_;
-        pos_ += got;
-        return run;
-    }
-
-    const std::uint8_t *
-    borrowRuns() const override
-    {
-        return borrowed_runs_;
+        return count;
     }
 
   private:
-    static constexpr std::size_t kWindow = TraceBuffer::kCommitRecords;
+    static constexpr std::size_t kWindow =
+        TraceBuffer::kCommitInstructions;
 
-    /** Generate the next window and its sidecar over the old one. */
+    /** Generate the next window over the old one. */
     void
     refill()
     {
-        generator_->nextBatch(window_.data(), kWindow);
-        fillRunLengths(window_.data(), runs_.data(), kWindow);
+        end_ = generator_->nextOps(window_.data(), kWindow);
         pos_ = 0;
         total_records_.fetch_add(kWindow, std::memory_order_relaxed);
     }
 
     std::unique_ptr<TraceSource> generator_;
     std::atomic<std::uint64_t> &total_records_;
-    std::vector<TraceRecord> window_;
-    std::vector<std::uint8_t> runs_;
-    std::size_t pos_ = kWindow;  ///< Next unread window slot.
-    /// Sidecar of the last borrowBatch() window (see borrowRuns()).
-    const std::uint8_t *borrowed_runs_ = nullptr;
+    std::vector<TraceOp> window_;
+    std::size_t pos_ = 0;  ///< Next unread op of the window.
+    std::size_t end_ = 0;  ///< Ops the window holds.
+    OpCursor cursor_;
 };
 
 } // namespace
@@ -172,10 +103,9 @@ TraceBuffer::TraceBuffer(std::unique_ptr<TraceSource> generator,
     : generator_(std::move(generator)), total_bytes_(total_bytes),
       total_records_(total_records)
 {
-    // Reserved once: the chunk directories must never reallocate, so
-    // readers can index them without taking extend_mutex_.
+    // Reserved once: the chunk directory must never reallocate, so
+    // readers can index it without taking extend_mutex_.
     chunks_.reserve(kMaxChunks);
-    run_chunks_.reserve(kMaxChunks);
 }
 
 TraceBuffer::~TraceBuffer()
@@ -186,45 +116,47 @@ TraceBuffer::~TraceBuffer()
 }
 
 void
-TraceBuffer::extendTo(std::size_t needed)
+TraceBuffer::extendPast(std::size_t pos)
 {
+    // One slice is at most one op per instruction; generated here and
+    // then copied in, because it may straddle a chunk boundary.
+    thread_local std::vector<TraceOp> slice(kCommitInstructions);
     std::lock_guard<std::mutex> lock(extend_mutex_);
     std::size_t committed = committed_.load(std::memory_order_relaxed);
-    while (committed < needed) {
-        const std::size_t chunk_idx = committed / kChunkRecords;
-        if (chunk_idx == chunks_.size()) {
-            if (chunks_.size() == kMaxChunks) {
-                throw SimError(
-                    "trace_cache", 0,
-                    "trace replay position " + std::to_string(needed) +
-                        " exceeds the buffer cap of " +
-                        std::to_string(kMaxChunks * kChunkRecords) +
-                        " records");
-            }
-            chunks_.push_back(
-                std::make_unique_for_overwrite<std::byte[]>(
-                    kChunkRecords * sizeof(TraceRecord)));
-            run_chunks_.push_back(
-                std::make_unique_for_overwrite<std::uint8_t[]>(
-                    kChunkRecords));
-            allocated_chunks_.store(chunks_.size(),
-                                    std::memory_order_relaxed);
-            if (total_bytes_ != nullptr) {
-                total_bytes_->fetch_add(kChunkRecords *
-                                            (sizeof(TraceRecord) + 1),
+    while (committed <= pos) {
+        const std::size_t ops =
+            generator_->nextOps(slice.data(), kCommitInstructions);
+        for (std::size_t copied = 0; copied < ops;) {
+            const std::size_t chunk_idx = committed / kChunkOps;
+            if (chunk_idx == chunks_.size()) {
+                if (chunks_.size() == kMaxChunks) {
+                    throw SimError(
+                        "trace_cache", 0,
+                        "trace replay position " + std::to_string(pos) +
+                            " exceeds the buffer cap of " +
+                            std::to_string(kMaxChunks * kChunkOps) +
+                            " ops");
+                }
+                chunks_.push_back(
+                    std::make_unique_for_overwrite<std::byte[]>(
+                        kChunkOps * sizeof(TraceOp)));
+                allocated_chunks_.store(chunks_.size(),
                                         std::memory_order_relaxed);
+                if (total_bytes_ != nullptr) {
+                    total_bytes_->fetch_add(kChunkOps * sizeof(TraceOp),
+                                            std::memory_order_relaxed);
+                }
             }
+            const std::size_t offset = committed % kChunkOps;
+            const std::size_t take =
+                std::min(ops - copied, kChunkOps - offset);
+            std::memcpy(chunkData(chunk_idx) + offset,
+                        slice.data() + copied, take * sizeof(TraceOp));
+            copied += take;
+            committed += take;
         }
-        const std::size_t offset = committed % kChunkRecords;
-        const std::size_t remaining = kChunkRecords - offset;
-        const std::size_t take =
-            remaining < kCommitRecords ? remaining : kCommitRecords;
-        generator_->nextBatch(chunkData(chunk_idx) + offset, take);
-        fillRunLengths(chunkData(chunk_idx) + offset,
-                       runData(chunk_idx) + offset, take);
-        committed += take;
         if (total_records_ != nullptr) {
-            total_records_->fetch_add(take,
+            total_records_->fetch_add(kCommitInstructions,
                                       std::memory_order_relaxed);
         }
         // Publish the slice's contents before the new count: readers
@@ -233,38 +165,17 @@ TraceBuffer::extendTo(std::size_t needed)
     }
 }
 
-void
-TraceBuffer::read(std::size_t pos, TraceRecord *out, std::size_t count)
+const TraceOp *
+TraceBuffer::view(std::size_t pos, std::size_t want, std::size_t &got)
 {
-    if (pos + count > committed_.load(std::memory_order_acquire))
-        extendTo(pos + count);
-    while (count > 0) {
-        const std::size_t chunk = pos / kChunkRecords;
-        const std::size_t offset = pos % kChunkRecords;
-        const std::size_t take = count < kChunkRecords - offset
-                                     ? count
-                                     : kChunkRecords - offset;
-        std::memcpy(out, chunkData(chunk) + offset,
-                    take * sizeof(TraceRecord));
-        out += take;
-        pos += take;
-        count -= take;
+    std::size_t committed = committed_.load(std::memory_order_acquire);
+    if (pos >= committed) {
+        extendPast(pos);
+        committed = committed_.load(std::memory_order_acquire);
     }
-}
-
-const TraceRecord *
-TraceBuffer::view(std::size_t pos, std::size_t want, std::size_t &got,
-                  const std::uint8_t **runs)
-{
-    if (pos + want > committed_.load(std::memory_order_acquire))
-        extendTo(pos + want);
-    const std::size_t offset = pos % kChunkRecords;
-    const std::size_t in_chunk = kChunkRecords - offset;
-    got = want < in_chunk ? want : in_chunk;
-    const std::size_t chunk = pos / kChunkRecords;
-    if (runs != nullptr)
-        *runs = runData(chunk) + offset;
-    return chunkData(chunk) + offset;
+    const std::size_t offset = pos % kChunkOps;
+    got = std::min({want, committed - pos, kChunkOps - offset});
+    return chunkData(pos / kChunkOps) + offset;
 }
 
 std::size_t
@@ -282,10 +193,31 @@ TraceCache::TraceCache(std::uint64_t budget_bytes)
 {
 }
 
+std::uint64_t
+parseTraceCacheBudget(const char *value)
+{
+    if (value == nullptr || *value == '\0')
+        return kDefaultBudgetMb * kMebibyte;
+    constexpr std::uint64_t kMaxMb = ~std::uint64_t{0} / kMebibyte;
+    std::uint64_t mb = 0;
+    for (const char *c = value; *c != '\0'; ++c) {
+        if (*c < '0' || *c > '9' ||
+            mb > (kMaxMb - static_cast<std::uint64_t>(*c - '0')) / 10) {
+            throw std::invalid_argument(
+                std::string("BINGO_TRACE_CACHE_MB: expected a whole "
+                            "number of MB from 0 to ") +
+                std::to_string(kMaxMb) + ", got '" + value + "'");
+        }
+        mb = mb * 10 + static_cast<std::uint64_t>(*c - '0');
+    }
+    return mb * kMebibyte;
+}
+
 TraceCache &
 TraceCache::instance()
 {
-    static TraceCache cache(budgetFromEnv());
+    static TraceCache cache(
+        parseTraceCacheBudget(std::getenv("BINGO_TRACE_CACHE_MB")));
     return cache;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Trace sourcing for Systems: shared buffers for streams a sweep will
- * reread, a bounded private window for every other stream.
+ * Trace sourcing for Systems: shared op buffers for streams a sweep
+ * will reread, a bounded private window for every other stream.
  *
  * A stream is fully determined by (workload, core, seed, translated):
  * makeWorkload() derives the per-core base address and generator
@@ -9,6 +9,14 @@
  * `translated` composes the seed-derived first-touch translation.
  * Length is not part of the key; a stream is infinite and every reader
  * consumes a prefix.
+ *
+ * What is stored: TraceOps (common/types.hpp), one per explicit
+ * load, store or branch with the run of non-memory instructions before
+ * it folded into a count. Server streams are 87-99.6 % non-memory
+ * instructions, so a buffer holds 0.004-0.13 ops of 24 bytes per
+ * instruction. Readers pull ops covering exactly the instructions
+ * they ask for; a run cut by a pull is split in the reader's cursor,
+ * never in the buffer.
  *
  * What is retained: only streams some later reader will replay. A
  * sweep (runIndexed in sim/experiment.cpp) walks its job list before
@@ -19,40 +27,39 @@
  * takes it out of the registry, so its memory goes with the last live
  * source; if no buffer exists, it gets a private streaming source
  * (StreamingTraceSource, trace_cache.cpp), which runs the generator
- * through one kCommitRecords window and keeps nothing. Acquires
+ * through one kCommitInstructions window and keeps nothing. Acquires
  * outside a plan (direct System construction, dist workers,
  * microbenches, and a sweep job's rebuild after a failed attempt; see
  * UnplannedTraceReads) materialize and share.
  *
- * Why: a retained buffer costs its full length in memory that must be
- * page-faulted in, and it pays only when a second reader replays it.
- * On a shared 4-vCPU Xeon VM (GCC 12.2, -O3, 4 sweep threads, median
- * of ten interleaved pairs), a sweep of twelve single-reader jobs
- * (perfbench compute_bound) held about 1 GB of buffers and spent a
- * third of its CPU time in the kernel faulting them in; streaming cut
- * its CPU time from 3.54 s to 2.21 s and its peak RSS from 1074 MB to
- * 58 MB. The Figure 8 sweep, seven readers per stream, still shares
- * every stream and runs at parity; streaming all of its readers
- * instead cost it about 5 % CPU (EXPERIMENTS.md has the tables).
+ * Why: a retained buffer costs memory that must be page-faulted in,
+ * and it pays only when a second reader replays it. With one record
+ * per instruction, a sweep of twelve single-reader jobs (perfbench
+ * compute_bound) held about 1 GB of buffers, and streaming them cut
+ * its CPU time by 38 %; the Figure 8 sweep, seven readers per stream,
+ * shares every stream. Holding ops took that sweep's peak RSS from
+ * about 430 MB to about 65 MB; streaming all of its readers instead
+ * still costs it about 10 % CPU, because each reader then reruns the
+ * generators (EXPERIMENTS.md has the tables).
  *
  * Concurrency: generation happens under a per-buffer mutex using the
  * single underlying generator; readers are lock-free (the chunk
  * directory is pre-reserved so it never reallocates, and a
- * release/acquire on the committed-record count publishes chunk
+ * release/acquire on the committed-op count publishes chunk
  * contents). The registry and the plan are mutex-protected; sweep
  * worker threads contend only on acquire/extend, not on replay.
  *
  * Budget: BINGO_TRACE_CACHE_MB bounds retained bytes (default 512;
- * 0 disables sharing, and every acquire streams). Eviction is LRU
- * over registered buffers not referenced by any live source; buffers
- * in use are never evicted, so the budget can transiently overshoot
- * while a wide sweep holds many streams open.
+ * 0 disables sharing, and every acquire streams; anything but a whole
+ * number of MB is an error). Eviction is LRU over registered buffers
+ * not referenced by any live source; buffers in use are never
+ * evicted, so the budget can transiently overshoot while a wide sweep
+ * holds many streams open.
  *
- * Determinism: every source yields bit-for-bit the records the
- * generator would, with the same non-memory run-length sidecar, so
- * journals are identical whichever source a System gets; chaos trace
- * corruption wraps *above* this layer (per System), so fault
- * schedules are also unchanged by sharing.
+ * Determinism: every source yields the instruction stream the
+ * generator would, so journals are identical whichever source a
+ * System gets; chaos trace corruption wraps *above* this layer (per
+ * System), so fault schedules are also unchanged by sharing.
  */
 
 #ifndef BINGO_WORKLOAD_TRACE_CACHE_HPP
@@ -107,33 +114,31 @@ struct TraceStreamKeyHash
 };
 
 /**
- * Append-only shared buffer of one (workload, core, seed) stream.
- * Readers replay committed records lock-free; extension runs the
- * single underlying generator under a mutex.
+ * Append-only shared buffer of one (workload, core, seed) stream, held
+ * as TraceOps. Readers replay committed ops lock-free; extension runs
+ * the single underlying generator under a mutex.
  */
 class TraceBuffer
 {
   public:
-    /// Records per chunk: 64 Ki records = 1.5 MB, large enough that
-    /// extension cost amortizes, small enough that short test runs
-    /// stay cheap.
-    static constexpr std::size_t kChunkRecords = std::size_t{1} << 16;
-    /// Commit granularity within a chunk: generation runs in slices
-    /// this long, so a short run never pays for a whole chunk's worth
-    /// of records it will not read (over-generation is capped at one
-    /// slice). Divides kChunkRecords evenly. Also the window length
-    /// of the private streaming source, so both carry the same
-    /// sidecar.
-    static constexpr std::size_t kCommitRecords = std::size_t{1} << 12;
+    /// Ops per chunk: 64 Ki ops = 1.5 MB, about two million
+    /// instructions of a server workload.
+    static constexpr std::size_t kChunkOps = std::size_t{1} << 16;
+    /// Generation slice, in instructions: the buffer grows by one
+    /// pull of this many instructions at a time, so a short run never
+    /// pays for much more stream than it reads. Also the window length
+    /// of the private streaming source.
+    static constexpr std::size_t kCommitInstructions = std::size_t{1}
+                                                       << 12;
     /// Chunk-directory capacity, reserved up front so the directory
-    /// never reallocates under readers: 2^14 chunks = 2^30 records.
+    /// never reallocates under readers: 2^14 chunks = 2^30 ops.
     static constexpr std::size_t kMaxChunks = std::size_t{1} << 14;
 
     /**
      * @param generator The stream's sole generator; owned.
      * @param total_bytes Process-wide retained-bytes counter to keep
      *        in step with chunk allocation (may be null).
-     * @param total_records Process-wide generated-record counter.
+     * @param total_records Process-wide generated-instruction counter.
      */
     TraceBuffer(std::unique_ptr<TraceSource> generator,
                 std::atomic<std::uint64_t> *total_bytes,
@@ -143,69 +148,51 @@ class TraceBuffer
     TraceBuffer(const TraceBuffer &) = delete;
     TraceBuffer &operator=(const TraceBuffer &) = delete;
 
-    /** Copy records [pos, pos + count) into `out`, extending first. */
-    void read(std::size_t pos, TraceRecord *out, std::size_t count);
-
     /**
-     * Zero-copy read: pointer to the contiguous run starting at
-     * `pos`, clipped to `want` records and the owning chunk's end,
-     * with `got` receiving the run length. Extends first, so the run
-     * is always nonempty. The pointer stays valid for the buffer's
-     * lifetime (chunks are never freed while the buffer lives).
-     *
-     * When `runs` is non-null it receives the window's non-memory
-     * run-length sidecar, aligned with the returned records (see
-     * TraceSource::borrowRuns for the entry contract). The sidecar is
-     * computed once at generation time, so replaying consumers get
-     * dispatch-run information for free.
+     * Zero-copy read: pointer to the committed ops from op index
+     * `pos` on, at most `want` of them and never past the owning
+     * chunk's end, with `got` receiving how many. Extends first, so
+     * the run is never empty. The pointer stays valid for the
+     * buffer's lifetime (chunks are never freed while it lives).
      */
-    const TraceRecord *view(std::size_t pos, std::size_t want,
-                            std::size_t &got,
-                            const std::uint8_t **runs = nullptr);
+    const TraceOp *view(std::size_t pos, std::size_t want,
+                        std::size_t &got);
 
-    /** Bytes of chunk storage owned right now (records + sidecar). */
+    /** Bytes of chunk storage owned right now. */
     std::uint64_t
     bytesReserved() const
     {
         return allocated_chunks_.load(std::memory_order_relaxed) *
-               kChunkRecords * (sizeof(TraceRecord) + 1);
+               kChunkOps * sizeof(TraceOp);
     }
 
-    /** Records generated so far (tests/diagnostics). */
+    /** Ops generated so far (tests/diagnostics). */
     std::size_t
-    committedRecords() const
+    committedOps() const
     {
         return committed_.load(std::memory_order_acquire);
     }
 
   private:
     /**
-     * Generate kCommitRecords-long slices until at least `needed`
-     * records exist, allocating (uninitialized) chunks as slices
-     * cross chunk boundaries.
+     * Generate kCommitInstructions-long slices until more than `pos`
+     * ops exist, allocating (uninitialized) chunks as slices cross
+     * chunk boundaries.
      */
-    void extendTo(std::size_t needed);
+    void extendPast(std::size_t pos);
 
     /**
-     * Record array of chunk `index`. Chunks are raw byte storage:
-     * TraceRecord carries default member initializers, so an array
-     * new would zero-fill 1.5 MB per chunk record-by-record; raw
-     * storage skips that (every byte below committed_ is generator
-     * output before any reader can reach it) and TraceRecord is an
-     * implicit-lifetime aggregate, so records come to life as the
-     * generator stores them.
+     * Op array of chunk `index`. Chunks are raw byte storage: TraceOp
+     * carries default member initializers, so an array new would
+     * zero-fill 1.5 MB per chunk op by op; raw storage skips that
+     * (every byte below committed_ is generator output before any
+     * reader can reach it) and TraceOp is an implicit-lifetime
+     * aggregate, so ops come to life as they are stored.
      */
-    TraceRecord *
+    TraceOp *
     chunkData(std::size_t index) const
     {
-        return reinterpret_cast<TraceRecord *>(chunks_[index].get());
-    }
-
-    /** Run-length sidecar of chunk `index` (parallel to its records). */
-    std::uint8_t *
-    runData(std::size_t index) const
-    {
-        return run_chunks_[index].get();
+        return reinterpret_cast<TraceOp *>(chunks_[index].get());
     }
 
     std::unique_ptr<TraceSource> generator_;
@@ -213,23 +200,15 @@ class TraceBuffer
     std::atomic<std::size_t> committed_{0};
     std::atomic<std::size_t> allocated_chunks_{0};
     std::vector<std::unique_ptr<std::byte[]>> chunks_;
-    /// Per-chunk non-memory run lengths, one byte per record: entry i
-    /// is the number of consecutive non-load/store records starting at
-    /// record i (0 for a memory record), saturated at 255 and clipped
-    /// at the generation-slice boundary — a conservative lower bound
-    /// the dispatch fast path may always trust. Written backward over
-    /// each slice right after the generator fills it, published by the
-    /// same committed_ release-store as the records.
-    std::vector<std::unique_ptr<std::uint8_t[]>> run_chunks_;
     std::atomic<std::uint64_t> *total_bytes_;
     std::atomic<std::uint64_t> *total_records_;
 };
 
 /**
  * TraceSource replaying a shared TraceBuffer from a private cursor.
- * Yields exactly the sequence the buffer's generator would.
+ * Yields exactly the stream the buffer's generator would.
  */
-class CachedTraceSource : public TraceSource
+class CachedTraceSource : public OpTraceSource
 {
   public:
     explicit CachedTraceSource(std::shared_ptr<TraceBuffer> buffer)
@@ -237,42 +216,22 @@ class CachedTraceSource : public TraceSource
     {
     }
 
-    TraceRecord
-    next() override
+    std::size_t
+    nextOps(TraceOp *out, std::size_t instructions) override
     {
-        TraceRecord record;
-        buffer_->read(pos_, &record, 1);
-        ++pos_;
-        return record;
-    }
-
-    void
-    nextBatch(TraceRecord *out, std::size_t count) override
-    {
-        buffer_->read(pos_, out, count);
-        pos_ += count;
-    }
-
-    const TraceRecord *
-    borrowBatch(std::size_t want, std::size_t &got) override
-    {
-        const TraceRecord *run =
-            buffer_->view(pos_, want, got, &runs_);
-        pos_ += got;
-        return run;
-    }
-
-    const std::uint8_t *
-    borrowRuns() const override
-    {
-        return runs_;
+        std::size_t count = 0;
+        while (instructions > 0) {
+            std::size_t got = 0;
+            const TraceOp *ops = buffer_->view(pos_, instructions, got);
+            pos_ += cursor_.take(ops, got, out, count, instructions);
+        }
+        return count;
     }
 
   private:
     std::shared_ptr<TraceBuffer> buffer_;
-    std::size_t pos_ = 0;
-    /// Sidecar of the last borrowBatch() window (see borrowRuns()).
-    const std::uint8_t *runs_ = nullptr;
+    std::size_t pos_ = 0;  ///< Op index of the next unread op.
+    OpCursor cursor_;
 };
 
 /** Process-wide, thread-safe registry of shared trace buffers. */
@@ -396,6 +355,14 @@ class UnplannedTraceReads
     UnplannedTraceReads(const UnplannedTraceReads &) = delete;
     UnplannedTraceReads &operator=(const UnplannedTraceReads &) = delete;
 };
+
+/**
+ * BINGO_TRACE_CACHE_MB's value as a budget in bytes: unset or empty
+ * means the default of 512 MB, and 0 disables sharing. Anything but
+ * decimal digits, or a budget whose byte count does not fit 64 bits,
+ * throws std::invalid_argument naming the knob and the value.
+ */
+std::uint64_t parseTraceCacheBudget(const char *value);
 
 /**
  * The System-facing entry point: makeWorkload() through the trace

@@ -37,11 +37,15 @@
 #include "dist/supervisor.hpp"
 #include "sim/experiment.hpp"
 #include "sim/journal.hpp"
+#include "test_util.hpp"
 
 namespace bingo
 {
 namespace
 {
+
+using test::EnvVar;
+using test::TempDir;
 
 using dist::WireHello;
 using dist::WireJob;
@@ -51,57 +55,6 @@ using dist::decodeResult;
 using dist::encodeJob;
 using dist::encodeResult;
 using dist::workerBinaryPath;
-
-/** Set an environment variable for one scope, restoring on exit. */
-class EnvVar
-{
-  public:
-    EnvVar(const char *name, const std::string &value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old != nullptr) {
-            had_old_ = true;
-            old_ = old;
-        }
-        ::setenv(name, value.c_str(), 1);
-    }
-
-    ~EnvVar()
-    {
-        if (had_old_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool had_old_ = false;
-};
-
-/** Unique per-process scratch directory (removed on destruction). */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-        : path_(::testing::TempDir() + "bingo_" + tag + "_" +
-                std::to_string(::getpid()))
-    {
-        std::filesystem::remove_all(path_);
-    }
-
-    ~TempDir()
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(path_, ec);
-    }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 ExperimentOptions
 smallOptions()

@@ -31,62 +31,15 @@
 #include "sim/journal.hpp"
 #include "sim/system.hpp"
 #include "sim/thread_pool.hpp"
+#include "test_util.hpp"
 
 namespace bingo
 {
 namespace
 {
 
-/** Set an environment variable for one scope, restoring on exit. */
-class EnvVar
-{
-  public:
-    EnvVar(const char *name, const std::string &value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old != nullptr) {
-            had_old_ = true;
-            old_ = old;
-        }
-        ::setenv(name, value.c_str(), 1);
-    }
-
-    ~EnvVar()
-    {
-        if (had_old_)
-            ::setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            ::unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool had_old_ = false;
-};
-
-/** Unique per-process scratch directory (removed on destruction). */
-class TempJournalDir
-{
-  public:
-    explicit TempJournalDir(const std::string &tag)
-        : path_(::testing::TempDir() + "bingo_" + tag + "_" +
-                std::to_string(::getpid()))
-    {
-        std::filesystem::remove_all(path_);
-    }
-
-    ~TempJournalDir()
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(path_, ec);
-    }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
+using test::EnvVar;
+using test::TempDir;
 
 ExperimentOptions
 smallOptions(std::uint64_t seed = 42)
@@ -326,7 +279,7 @@ TEST(Journal, FingerprintDistinguishesJobs)
 
 TEST(Journal, StoreLoadRoundTripIsBitExact)
 {
-    const TempJournalDir dir("journal_roundtrip");
+    const TempDir dir("journal_roundtrip");
     RunResult result;
     result.workload = "Streaming";
     result.kind = PrefetcherKind::Bingo;
@@ -356,7 +309,7 @@ TEST(Journal, StoreLoadRoundTripIsBitExact)
 
 TEST(Journal, RejectsGarbledAndMismatchedRecords)
 {
-    const TempJournalDir dir("journal_garble");
+    const TempDir dir("journal_garble");
     RunResult result;
     result.workload = "Streaming";
     result.core_ipc = {1.0};
@@ -398,7 +351,7 @@ TEST(Journal, RejectsGarbledAndMismatchedRecords)
 
 TEST(Journal, SweepResumesSkippingJournaledJobs)
 {
-    const TempJournalDir dir("journal_resume");
+    const TempDir dir("journal_resume");
     const EnvVar journal("BINGO_JOURNAL_DIR", dir.path());
     const std::vector<SweepJob> jobs = smallSweep();
 
@@ -428,7 +381,7 @@ TEST(Journal, KillAndResumeReproducesBitIdenticalResults)
 
     // "First run, killed mid-sweep": only a prefix of the jobs ever
     // completed and reached the journal before the process died.
-    const TempJournalDir dir("journal_kill");
+    const TempDir dir("journal_kill");
     const EnvVar journal("BINGO_JOURNAL_DIR", dir.path());
     const std::vector<SweepJob> prefix(jobs.begin(), jobs.begin() + 2);
     const std::vector<JobOutcome> partial = runSweepOutcomes(prefix, 2);

@@ -21,34 +21,14 @@
 
 #include "sim/experiment.hpp"
 #include "sim/journal.hpp"
+#include "test_util.hpp"
 
 namespace bingo
 {
 namespace
 {
 
-/** Unique per-process scratch directory (removed on destruction). */
-class TempDir
-{
-  public:
-    explicit TempDir(const std::string &tag)
-        : path_(::testing::TempDir() + "bingo_" + tag + "_" +
-                std::to_string(::getpid()))
-    {
-        std::filesystem::remove_all(path_);
-    }
-
-    ~TempDir()
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(path_, ec);
-    }
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
+using test::TempDir;
 
 /** One real (tiny) simulation to get a genuine journal record. */
 const RunResult &

@@ -2,8 +2,8 @@
  * @file
  * Tests for the out-of-order core model: retire width, load latency
  * exposure, LSQ and ROB occupancy limits, dependent-load
- * serialization, measurement bookkeeping, and the lifetime the core
- * assumes of a borrowed trace window.
+ * serialization, measurement bookkeeping, and independence from how
+ * the trace source cuts its op stream.
  */
 
 #include <gtest/gtest.h>
@@ -332,12 +332,11 @@ TEST_F(CoreTest, TypeCountersTrack)
 }
 
 /**
- * Borrowing source that honours the TraceSource::borrowBatch()
- * contract and nothing more: every borrow first fills the window it
- * handed out last time (records and sidecar) with garbage, then
- * returns a fresh window from the other half of a double buffer.
- * Window lengths cycle through odd sizes so windows end at every
- * offset of the core's fetch batch.
+ * Op source that honours the TraceSource::nextOps() contract and
+ * nothing more: it covers each pull with sub-pulls of odd lengths from
+ * its inner source and does not join the runs they split, so runs
+ * reach the core cut at every offset and as separate bare ops; then
+ * it fills the rest of the core's fetch buffer with garbage.
  */
 class ClobberingSource : public TraceSource
 {
@@ -349,56 +348,68 @@ class ClobberingSource : public TraceSource
 
     TraceRecord next() override { return inner_->next(); }
 
-    const TraceRecord *
-    borrowBatch(std::size_t want, std::size_t &got) override
+    std::size_t
+    nextOps(TraceOp *out, std::size_t instructions) override
     {
         static constexpr std::size_t kLengths[] = {1, 7, 64, 33, 50, 3};
-        Window &stale = windows_[current_];
-        stale.records.fill(TraceRecord{0xdead, 0xbad000,
-                                       InstrType::Load, true});
-        stale.runs.fill(255);
-        current_ ^= 1;
-        Window &fresh = windows_[current_];
-        got = std::min(want, kLengths[borrows_++ % std::size(kLengths)]);
-        inner_->nextBatch(fresh.records.data(), got);
-        unsigned run = 0;
-        for (std::size_t i = got; i-- > 0;) {
-            const InstrType type = fresh.records[i].type;
-            run = type == InstrType::Load || type == InstrType::Store
-                      ? 0
-                      : std::min(run + 1, 255u);
-            fresh.runs[i] = static_cast<std::uint8_t>(run);
+        ++pulls_;
+        std::size_t count = 0;
+        for (std::size_t left = instructions; left > 0;) {
+            const std::size_t piece =
+                std::min(left, kLengths[pieces_++ % std::size(kLengths)]);
+            count += inner_->nextOps(out + count, piece);
+            left -= piece;
         }
-        return fresh.records.data();
+        std::fill(out + count, out + instructions,
+                  TraceOp{0xdead, 0xbad000, 7, InstrType::Load, true});
+        return count;
     }
 
-    const std::uint8_t *
-    borrowRuns() const override
-    {
-        return windows_[current_].runs.data();
-    }
-
-    std::size_t borrows() const { return borrows_; }
+    std::size_t pulls() const { return pulls_; }
 
   private:
-    struct Window
-    {
-        std::array<TraceRecord, 64> records;
-        std::array<std::uint8_t, 64> runs{};
-    };
-
     std::unique_ptr<TraceSource> inner_;
-    std::array<Window, 2> windows_;
-    unsigned current_ = 0;
-    std::size_t borrows_ = 0;
+    std::size_t pieces_ = 0;
+    std::size_t pulls_ = 0;
 };
 
-/** What one core run over `trace` did, down to each L1D miss. */
+/**
+ * Record-only view of a source: hides its op pull, so a core reading
+ * it gets the default op pull built on next().
+ */
+class RecordOnlySource : public TraceSource
+{
+  public:
+    explicit RecordOnlySource(std::unique_ptr<TraceSource> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    TraceRecord next() override { return inner_->next(); }
+
+  private:
+    std::unique_ptr<TraceSource> inner_;
+};
+
+/** One L1D demand access as the core issued it. */
+struct L1Access
+{
+    Addr block = 0;
+    Addr pc = 0;
+    AccessType type = AccessType::Load;
+    bool hit = false;
+    Cycle cycle = 0;
+
+    bool operator==(const L1Access &other) const = default;
+};
+
+/** What one core run over `trace` did, down to each L1D access. */
 struct CoreRun
 {
     CoreStats stats;
     Cycle completion = 0;
     std::vector<Addr> fetched_blocks;
+    std::vector<L1Access> accesses;
 };
 
 CoreRun
@@ -411,6 +422,12 @@ runCore(TraceSource &trace, std::uint64_t instructions)
     l1.ways = 4;
     l1.mshr_entries = 8;
     Cache l1d("L1", l1, events, lower);
+    CoreRun out;
+    l1d.setAccessHook(
+        [&out](const MemAccess &access, bool hit, Cycle now) {
+            out.accesses.push_back(
+                {access.block, access.pc, access.type, hit, now});
+        });
     OooCore core(0, CoreConfig{}, l1d, trace);
     core.startMeasurement(instructions, 0);
     for (Cycle now = 0; !core.measurementDone(); ++now) {
@@ -419,7 +436,6 @@ runCore(TraceSource &trace, std::uint64_t instructions)
         events.runDue(now);
         core.step(now);
     }
-    CoreRun out;
     out.stats = core.stats();
     out.completion = core.completionCycle();
     for (const MemAccess &access : lower.fetches)
@@ -427,25 +443,44 @@ runCore(TraceSource &trace, std::uint64_t instructions)
     return out;
 }
 
+void
+expectSameRun(const CoreRun &a, const CoreRun &b)
+{
+    EXPECT_EQ(a.completion, b.completion);
+    EXPECT_EQ(a.stats.instructions, b.stats.instructions);
+    EXPECT_EQ(a.stats.loads, b.stats.loads);
+    EXPECT_EQ(a.stats.stores, b.stats.stores);
+    EXPECT_EQ(a.stats.branches, b.stats.branches);
+    EXPECT_EQ(a.stats.cycles, b.stats.cycles);
+    EXPECT_EQ(a.stats.rob_full_cycles, b.stats.rob_full_cycles);
+    EXPECT_EQ(a.stats.lsq_full_cycles, b.stats.lsq_full_cycles);
+    EXPECT_EQ(a.fetched_blocks, b.fetched_blocks);
+    EXPECT_TRUE(a.accesses == b.accesses)
+        << a.accesses.size() << " vs " << b.accesses.size()
+        << " L1D accesses";
+}
+
 TEST(CoreBorrowContract, WindowNeedOnlyLastUntilTheNextCall)
 {
     auto plain = makeWorkload("Data Serving", 0, 7);
     ClobberingSource clobbering(makeWorkload("Data Serving", 0, 7));
     const CoreRun reference = runCore(*plain, 200000);
-    const CoreRun borrowed = runCore(clobbering, 200000);
-    ASSERT_GT(clobbering.borrows(), 1000u);
+    const CoreRun cut = runCore(clobbering, 200000);
+    ASSERT_GT(clobbering.pulls(), 1000u);
+    expectSameRun(cut, reference);
+}
 
-    EXPECT_EQ(borrowed.completion, reference.completion);
-    EXPECT_EQ(borrowed.stats.instructions, reference.stats.instructions);
-    EXPECT_EQ(borrowed.stats.loads, reference.stats.loads);
-    EXPECT_EQ(borrowed.stats.stores, reference.stats.stores);
-    EXPECT_EQ(borrowed.stats.branches, reference.stats.branches);
-    EXPECT_EQ(borrowed.stats.cycles, reference.stats.cycles);
-    EXPECT_EQ(borrowed.stats.rob_full_cycles,
-              reference.stats.rob_full_cycles);
-    EXPECT_EQ(borrowed.stats.lsq_full_cycles,
-              reference.stats.lsq_full_cycles);
-    EXPECT_EQ(borrowed.fetched_blocks, reference.fetched_blocks);
+TEST(CoreOpPull, OpNativeAndRecordOnlySourcesRunIdentically)
+{
+    for (const char *workload : {"Data Serving", "em3d", "Mix 4"}) {
+        SCOPED_TRACE(workload);
+        auto native = makeWorkload(workload, 1, 42);
+        RecordOnlySource records(makeWorkload(workload, 1, 42));
+        const CoreRun a = runCore(*native, 100000);
+        const CoreRun b = runCore(records, 100000);
+        ASSERT_GT(a.accesses.size(), 1000u);
+        expectSameRun(a, b);
+    }
 }
 
 } // namespace

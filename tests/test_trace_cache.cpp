@@ -66,25 +66,39 @@ expectSameRecord(const TraceRecord &a, const TraceRecord &b,
     ASSERT_EQ(a.dependent, b.dependent) << "record " << i;
 }
 
+/** Bytes of one TraceBuffer chunk. */
+constexpr std::uint64_t kChunkBytes =
+    TraceBuffer::kChunkOps * sizeof(TraceOp);
+
 TEST_F(TraceCacheTest, ReplayIsBitIdenticalAcrossChunkBoundaries)
 {
-    // Enough records to cross the first chunk boundary (64 Ki) and
-    // exercise a read spanning two chunks.
-    const std::size_t n = TraceBuffer::kChunkRecords + 5000;
-    auto direct = makeWorkload("Data Serving", 0, 42);
-    auto cached = TraceCache::instance().acquire("Data Serving", 0, 42);
-    for (std::size_t i = 0; i < n; ++i)
+    // Read until the buffer has started its second chunk (64 Ki ops),
+    // then some more, so replay crosses a chunk boundary.
+    auto direct = makeWorkload("em3d", 0, 42);
+    auto cached = TraceCache::instance().acquire("em3d", 0, 42);
+    std::size_t i = 0;
+    while (TraceCache::instance().stats().bytes < 2 * kChunkBytes) {
+        for (std::size_t end = i + 4096; i < end; ++i)
+            expectSameRecord(cached->next(), direct->next(), i);
+    }
+    for (std::size_t end = i + 5000; i < end; ++i)
         expectSameRecord(cached->next(), direct->next(), i);
 }
 
 TEST_F(TraceCacheTest, BatchReadSpanningChunksMatchesSingleSteps)
 {
-    auto stepper = TraceCache::instance().acquire("SAT Solver", 1, 9);
-    auto batcher = TraceCache::instance().acquire("SAT Solver", 1, 9);
-    // One batch deliberately straddling the first chunk boundary.
-    const std::size_t n = TraceBuffer::kChunkRecords + 300;
-    std::vector<TraceRecord> batch(n);
-    batcher->nextBatch(batch.data(), n);
+    auto stepper = TraceCache::instance().acquire("em3d", 1, 9);
+    auto batcher = TraceCache::instance().acquire("em3d", 1, 9);
+    // One op pull deliberately straddling the first chunk boundary:
+    // em3d needs about 0.1 ops per instruction, so a million
+    // instructions take well over one 64 Ki-op chunk.
+    const std::size_t n = std::size_t{1} << 20;
+    std::vector<TraceOp> ops(n);
+    ops.resize(batcher->nextOps(ops.data(), n));
+    ASSERT_GT(ops.size(), TraceBuffer::kChunkOps);
+    std::vector<TraceRecord> batch;
+    test::appendRecords(ops.data(), ops.size(), batch);
+    ASSERT_EQ(batch.size(), n);
     for (std::size_t i = 0; i < n; ++i)
         expectSameRecord(batch[i], stepper->next(), i);
 }
@@ -121,10 +135,8 @@ TEST_F(TraceCacheTest, BudgetZeroBypassesCaching)
 
 TEST_F(TraceCacheTest, EvictionRespectsBudgetAndPinning)
 {
-    const std::uint64_t chunk_bytes =
-        TraceBuffer::kChunkRecords * sizeof(TraceRecord);
     // Budget fits one committed chunk but not two.
-    TraceCache::instance().setBudgetBytes(chunk_bytes + chunk_bytes / 2);
+    TraceCache::instance().setBudgetBytes(kChunkBytes + kChunkBytes / 2);
 
     auto a = TraceCache::instance().acquire("Data Serving", 0, 1);
     auto b = TraceCache::instance().acquire("em3d", 0, 1);
@@ -229,40 +241,27 @@ TEST_F(TraceCacheTest, PlannedSingleReaderIsStreamed)
     plan.addReader("Data Serving", 0, 42, /*translated=*/false);
     auto source = cache.acquire("Data Serving", 0, 42);
 
-    // Reference: the generator's records and a sidecar recomputed
-    // here, clipped at every kCommitRecords window as the streaming
-    // window and the shared buffer's commit slices both clip it.
-    const std::size_t window = TraceBuffer::kCommitRecords;
+    // Pull in pieces that end at every offset of the streaming
+    // window, some straddling it, and expand each piece back into
+    // records against the generator's own.
+    const std::size_t window = TraceBuffer::kCommitInstructions;
     const std::size_t n = 3 * window + 1234;
-    std::vector<TraceRecord> expected(4 * window);
+    std::vector<TraceRecord> expected(n);
     makeWorkload("Data Serving", 0, 42)
         ->nextBatch(expected.data(), expected.size());
-    std::vector<std::uint8_t> runs(expected.size());
-    for (std::size_t start = 0; start < expected.size();
-         start += window) {
-        unsigned run = 0;
-        for (std::size_t i = start + window; i-- > start;) {
-            const bool mem = expected[i].type == InstrType::Load ||
-                             expected[i].type == InstrType::Store;
-            run = mem ? 0 : std::min(run + 1, 255u);
-            runs[i] = static_cast<std::uint8_t>(run);
-        }
-    }
 
-    for (std::size_t pos = 0; pos < n;) {
-        std::size_t got = 0;
-        const TraceRecord *run = source->borrowBatch(1000, got);
-        ASSERT_NE(run, nullptr);
-        ASSERT_GE(got, 1u);
-        ASSERT_LE(got, window - pos % window) << "run crosses a window";
-        const std::uint8_t *sidecar = source->borrowRuns();
-        ASSERT_NE(sidecar, nullptr);
-        for (std::size_t i = 0; i < got; ++i) {
-            expectSameRecord(run[i], expected[pos + i], pos + i);
-            ASSERT_EQ(sidecar[i], runs[pos + i]) << "record " << pos + i;
-        }
-        pos += got;
+    std::vector<TraceOp> ops(1000);
+    std::vector<TraceRecord> pulled;
+    while (pulled.size() < n) {
+        const std::size_t want = std::min<std::size_t>(
+            n - pulled.size(), 1 + (pulled.size() * 7919) % ops.size());
+        const std::size_t before = pulled.size();
+        test::appendRecords(ops.data(), source->nextOps(ops.data(), want),
+                            pulled);
+        ASSERT_EQ(pulled.size() - before, want) << "pull at " << before;
     }
+    for (std::size_t i = 0; i < n; ++i)
+        expectSameRecord(pulled[i], expected[i], i);
 
     const TraceCacheStats stats = cache.stats();
     EXPECT_EQ(stats.bypasses, 1u);
@@ -447,6 +446,37 @@ TEST_F(TraceCacheTest, SweepPlansItsBaselineReaders)
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.bypasses, 1u + 3u);
     EXPECT_EQ(stats.buffers, 0u);
+}
+
+TEST(TraceCacheBudget, ParsesWholeMebibytes)
+{
+    EXPECT_EQ(parseTraceCacheBudget(nullptr), 512ull << 20);
+    EXPECT_EQ(parseTraceCacheBudget(""), 512ull << 20);
+    EXPECT_EQ(parseTraceCacheBudget("0"), 0u);
+    EXPECT_EQ(parseTraceCacheBudget("64"), 64ull << 20);
+    EXPECT_EQ(parseTraceCacheBudget("0064"), 64ull << 20);
+    // The largest budget whose byte count fits 64 bits.
+    EXPECT_EQ(parseTraceCacheBudget("17592186044415"),
+              17592186044415ull << 20);
+}
+
+TEST(TraceCacheBudget, RejectsMalformedValuesByName)
+{
+    for (const char *bad : {"-1", "abc", "64MB", " 64", "64 ", "+5",
+                            "1e3", "17592186044416",
+                            "99999999999999999999999"}) {
+        try {
+            parseTraceCacheBudget(bad);
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("BINGO_TRACE_CACHE_MB"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find(std::string("'") + bad + "'"),
+                      std::string::npos)
+                << what;
+        }
+    }
 }
 
 } // namespace

@@ -111,6 +111,22 @@ alu()
     return TraceRecord{0x1000, 0, InstrType::Alu};
 }
 
+/**
+ * Append the records `ops` stand for to `out`: each op's non-memory
+ * run (pc 0), then its explicit instruction.
+ */
+inline void
+appendRecords(const TraceOp *ops, std::size_t count,
+              std::vector<TraceRecord> &out)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        out.insert(out.end(), ops[i].alu, TraceRecord{});
+        if (ops[i].type != InstrType::Alu)
+            out.push_back(TraceRecord{ops[i].pc, ops[i].addr, ops[i].type,
+                                      ops[i].dependent});
+    }
+}
+
 /** Byte address of block `n` within region `region`. */
 inline Addr
 regionBlock(Addr region, unsigned offset)
