@@ -1,7 +1,6 @@
 #include "dist/coordinator.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -14,8 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
+#include "common/env.hpp"
 #include "dist/manifest.hpp"
 #include "dist/protocol.hpp"
 #include "dist/supervisor.hpp"
@@ -32,36 +30,13 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *value = std::getenv(name);
-    if (value == nullptr || *value == '\0')
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(value, &end, 10);
-    return end == value ? fallback : parsed;
-}
-
-double
-envSeconds(const char *name, double fallback)
-{
-    const char *value = std::getenv(name);
-    if (value == nullptr || *value == '\0')
-        return fallback;
-    char *end = nullptr;
-    const double parsed = std::strtod(value, &end);
-    return (end == value || parsed < 0.0) ? fallback : parsed;
-}
-
 /**
  * Ignore SIGPIPE for the coordinator's lifetime in this function
  * (restoring the previous disposition on exit): a worker that dies
  * while the coordinator writes to it must surface as a structured
- * broken-pipe transport error from the ByteChannel, never kill the
+ * broken-pipe transport error from the PipeChannel, never kill the
  * coordinator — the coordinator outliving its workers is the whole
- * point of supervision. (SocketChannel also passes MSG_NOSIGNAL, but
- * PipeChannel writes to plain pipes, which have no such flag.)
+ * point of supervision.
  */
 class ScopedSigpipeIgnore
 {
@@ -182,29 +157,6 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
     // get the same guarantee.
     if (!journal_dir.empty())
         manifestStore(journal_dir, jobs);
-    // Local workers always journal into shards; without a canonical
-    // journal the shards live in a temp tree that is simply deleted at
-    // the end (results still arrive over the wire). Host-backed (stdio)
-    // workers never journal locally — the coordinator logs their
-    // accepted results instead.
-    std::string shard_base;
-    if (journal_dir.empty()) {
-        shard_base = (std::filesystem::temp_directory_path() /
-                      ("bingo-dist-" + std::to_string(::getpid())))
-                         .string();
-    }
-    const auto shardDirFor = [&](unsigned slot) {
-        return journal_dir.empty()
-                   ? shard_base + "/w" + std::to_string(slot)
-                   : journalShardDir(journal_dir, slot);
-    };
-    // Slots cycle over the host templates; with no hosts every slot is
-    // a local socketpair worker.
-    const auto hostFor = [&](unsigned slot) -> const std::string * {
-        if (hosts.empty())
-            return nullptr;
-        return &hosts[slot % hosts.size()];
-    };
 
     const double heartbeat_timeout =
         envSeconds("BINGO_DIST_HEARTBEAT_S", 5.0);
@@ -278,11 +230,14 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
     ScopedSweepSignals signal_guard;
     ScopedSigpipeIgnore sigpipe_guard;
 
+    // Slots cycle over the host templates; with no hosts every slot is
+    // a local worker exec'd directly.
     const auto spawnSlot = [&](Slot &slot) {
         const unsigned s = slot.proc.slot;
-        if (const std::string *host = hostFor(s); host != nullptr)
-            return spawnWorkerCommand(*host, s, slot.proc);
-        return spawnWorker(binary, shardDirFor(s), s, slot.proc);
+        if (hosts.empty())
+            return spawnWorker(binary, /*via_shell=*/false, s, slot.proc);
+        return spawnWorker(hosts[s % hosts.size()], /*via_shell=*/true,
+                           s, slot.proc);
     };
 
     std::vector<Slot> slots(num_workers);
@@ -373,10 +328,11 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
         }
     };
 
-    // Append an accepted result record from a worker without a local
-    // shard to the coordinator's own shard log, so journalMergeShards
-    // can fold it in like any shard record.
-    const auto logRemoteRecord = [&](const Item &item) {
+    // Commit an accepted result record by appending it to the
+    // coordinator log, which journalMergeShards folds into the
+    // canonical journal at the end of the sweep (or, after a
+    // coordinator crash, at the start of the next one).
+    const auto logRecord = [&](const Item &item) {
         if (journal_dir.empty() || item.baseline ||
             item.result.record.empty())
             return;
@@ -483,8 +439,7 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
             item.have_result = true;
             item.state = Item::State::Done;
             item.kills = 0;
-            if (!slot.proc.journals_locally)
-                logRemoteRecord(item);
+            logRecord(item);
             break;
         }
         case MsgType::Bye:
@@ -574,7 +529,7 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
                         ++stats.reconnects;
                     progress = true;
                 } else {
-                    // fork/socketpair failure is systemic, not a flaky
+                    // fork/pipe failure is systemic, not a flaky
                     // worker — don't spin on it.
                     slot.exhausted = true;
                 }
@@ -703,17 +658,12 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
         killWorker(slot.proc);
     }
 
-    // --- Fold worker shards (and the coordinator log) into the
-    // canonical journal. Byte-identity with a single-process run is
-    // structural: journalEncode wrote every record, leases made every
-    // commit at-most-once, and conflicting duplicates throw rather
-    // than merge.
-    if (!journal_dir.empty()) {
+    // --- Fold the coordinator log into the canonical journal.
+    // Byte-identity with a single-process run is structural:
+    // journalEncode wrote every record, leases made every commit
+    // at-most-once, and conflicting duplicates throw rather than merge.
+    if (!journal_dir.empty())
         journalMergeShards(journal_dir);
-    } else if (!shard_base.empty()) {
-        std::error_code ec;
-        std::filesystem::remove_all(shard_base, ec);
-    }
 
     addExternalRunStats(total_runs, total_cycles);
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Distributed sweep coordinator: shards a sweep's pending jobs across
+ * Distributed sweep coordinator: spreads a sweep's pending jobs across
  * supervised bingo_worker OS processes (src/dist/worker.hpp) and
  * collects structured JobOutcomes, with the same journal semantics —
  * byte-identical — as the in-process runner.
@@ -9,14 +9,13 @@
  * is nonzero or BINGO_DIST_HOSTS is set (experiment.cpp gates out
  * callers that pin a thread count or install a fault hook). The
  * coordinator:
- *  - fork/execs N local workers over socketpairs, each journaling into
- *    its own shard directory `<journal>/shards/w<slot>/` (a temp
- *    directory when journaling is off), and/or launches remote workers
- *    through BINGO_DIST_HOSTS command templates with their stdio as
- *    the transport (slots cycle over the host list). Remote workers
- *    may not share a filesystem, so the coordinator appends their
- *    accepted result records to `<journal>/shards/coordinator.log`
- *    and journalMergeShards folds that log in with the shards;
+ *  - launches every worker as `bingo_worker --stdio` with its
+ *    stdin/stdout as the transport: N local workers exec'd directly
+ *    (BINGO_DIST_WORKERS=N), or workers launched through
+ *    BINGO_DIST_HOSTS command templates (slots cycle over the host
+ *    list). Workers may not share a filesystem with the coordinator,
+ *    so none of them journals: the coordinator appends every accepted
+ *    result record to `<journal>/shards/coordinator.log`;
  *  - streams jobs over the FramedLink protocol (dist/transport.hpp:
  *    CRC-checked, sequence-numbered frames with resynchronization,
  *    duplicate suppression, and the `transport` chaos site's
@@ -52,10 +51,10 @@
  *  - falls back to in-process execution of whatever remains if every
  *    worker slot is exhausted — a sweep never dies just because its
  *    workers did;
- *  - merges worker shards (and the coordinator log) into the canonical
- *    journal at the end (journalMergeShards), which is byte-identical
- *    to a single-process run of the same jobs because journalEncode is
- *    the only record serializer and simulations are deterministic; and
+ *  - folds the coordinator log into the canonical journal at the end
+ *    (journalMergeShards), which is byte-identical to a single-process
+ *    run of the same jobs because journalEncode is the only record
+ *    serializer and simulations are deterministic; and
  *  - writes the transport-health counters (reconnects, corrupt frames
  *    dropped, duplicates suppressed, sequence gaps, leases revoked,
  *    stale results dropped) to `transport_health.json` in
@@ -83,7 +82,7 @@ namespace dist
  *  end-of-sweep summary line, and transport_health.json). */
 struct DistReport
 {
-    unsigned workers_spawned = 0;   ///< fork/execs, including respawns.
+    unsigned workers_spawned = 0;   ///< Launches, including respawns.
     unsigned workers_lost = 0;      ///< Deaths observed (crash, hang
                                     ///< kill, deadline kill).
     std::size_t redispatched = 0;   ///< Jobs requeued (worker death or
@@ -103,9 +102,8 @@ struct DistReport
     std::uint64_t leases_revoked = 0;   ///< Idle-heartbeat revocations.
     std::uint64_t stale_results_dropped = 0;  ///< Results with an
                                     ///< outdated lease (not committed).
-    std::uint64_t log_records = 0;  ///< Records appended to
-                                    ///< shards/coordinator.log for
-                                    ///< non-journaling workers.
+    std::uint64_t log_records = 0;  ///< Accepted records appended
+                                    ///< to shards/coordinator.log.
 };
 
 /**

@@ -3,8 +3,8 @@
  * Wire protocol between the sweep coordinator and its bingo_worker
  * processes (src/dist/coordinator.hpp, src/dist/worker.hpp).
  *
- * Framing — CRC-checked, sequence-numbered `BJF2` frames over an
- * abstract ByteChannel — lives in dist/transport.hpp. This file is the
+ * Framing — CRC-checked, sequence-numbered `BJF2` frames over the
+ * worker's stdin/stdout pipes — lives in dist/transport.hpp. This file is the
  * message layer: frame types plus the payload codecs. Payloads are the
  * same pipe-separated, length-prefixed-string, doubles-as-IEEE-bits
  * text the journal uses, so every value round-trips bit-exactly.
@@ -26,8 +26,7 @@
  * Leases: every dispatch of a work item carries a fresh lease token
  * (a per-item epoch counter). A result is committed only if its lease
  * matches the item's current lease, so a stalled worker that resurfaces
- * after its job was re-dispatched — and whose shard no longer counts —
- * cannot double-commit: at-most-once commit is an invariant of the
+ * after its job was re-dispatched cannot double-commit: at-most-once commit is an invariant of the
  * coordinator, not a property of worker good behaviour.
  *
  * Drift guard: the worker re-derives the job fingerprint from the
@@ -77,11 +76,10 @@ struct WireJob
     std::uint64_t lease = 0;       ///< Dispatch epoch; echoed in result.
     std::string fingerprint;       ///< jobFingerprint(job), precomputed.
     SweepJob job;
-    /// Baseline warm, not a sweep job: the worker runs it and returns
-    /// the record bytes, but does NOT journal it into its shard — the
-    /// coordinator journals baselines itself (exactly once, like the
-    /// in-process baselineFor), keeping the merged journal
-    /// byte-identical to a single-process run.
+    /// Baseline warm, not a sweep job. The worker runs both alike; the
+    /// coordinator never logs a baseline's record but journals it
+    /// itself (exactly once, like the in-process baselineFor), keeping
+    /// the merged journal byte-identical to a single-process run.
     bool baseline = false;
 };
 

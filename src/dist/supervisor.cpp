@@ -8,7 +8,6 @@
 
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -39,28 +38,6 @@ setNonBlocking(int fd)
 {
     const int flags = ::fcntl(fd, F_GETFL, 0);
     return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-/** Shared post-spawn bookkeeping once a link is established. */
-void
-armWorker(WorkerProc &out, pid_t pid, unsigned slot,
-          std::unique_ptr<ByteChannel> channel, bool journals_locally)
-{
-    out.pid = pid;
-    out.slot = slot;
-    ++out.spawn_count;
-    out.said_hello = false;
-    out.journals_locally = journals_locally;
-    out.busy_hint = false;
-    out.link = std::make_unique<FramedLink>(std::move(channel));
-    // The coordinator's send side participates in transport chaos too;
-    // spawn_count as the epoch keeps a respawned slot's schedule fresh.
-    out.link->enableFaults(chaos::transportChaosFromEnv(),
-                           LinkRole::Coordinator, slot,
-                           out.spawn_count);
-    out.last_heard = std::chrono::steady_clock::now();
-    out.job_start = out.last_heard;
-    out.in_flight = WorkerProc::kIdle;
 }
 
 } // namespace
@@ -123,72 +100,36 @@ sweepDistHosts()
 }
 
 bool
-spawnWorker(const std::string &binary, const std::string &shard_dir,
-            unsigned slot, WorkerProc &out)
+spawnWorker(const std::string &launcher, bool via_shell, unsigned slot,
+            WorkerProc &out)
 {
-    int fds[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
-        return false;
-
-    // Epoch for the *worker's* fault stream: it must change across
-    // respawns (argv, since a fresh exec re-reads it) or a
+    // The epoch seeds the *worker's* fault stream: it must change
+    // across respawns (argv, since a fresh exec re-reads it) or a
     // deterministic first-frame fault would repeat forever.
+    const std::string slot_str = std::to_string(slot);
     const std::string epoch_str = std::to_string(out.spawn_count + 1);
+    const std::string command = launcher + " --stdio --slot " +
+                                slot_str + " --fault-epoch " + epoch_str;
+    std::vector<const char *> argv;
+    if (via_shell)
+        argv = {"/bin/sh", "-c", command.c_str(), nullptr};
+    else
+        argv = {launcher.c_str(), "--stdio",
+                "--slot",         slot_str.c_str(),
+                "--fault-epoch",  epoch_str.c_str(),
+                nullptr};
 
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        return false;
-    }
-    if (pid == 0) {
-        // Child: worker end of the pair becomes fd 3, exec the worker.
-        ::close(fds[0]);
-        if (fds[1] != 3) {
-            if (::dup2(fds[1], 3) != 3)
-                ::_exit(127);
-            ::close(fds[1]);
-        }
-        const std::string slot_str = std::to_string(slot);
-        const char *argv[] = {binary.c_str(),    "--socket-fd", "3",
-                              "--shard-dir",     shard_dir.c_str(),
-                              "--slot",          slot_str.c_str(),
-                              "--fault-epoch",   epoch_str.c_str(),
-                              nullptr};
-        ::execv(binary.c_str(), const_cast<char *const *>(argv));
-        ::_exit(127);
-    }
-
-    ::close(fds[1]);
-    if (!setNonBlocking(fds[0])) {
-        ::close(fds[0]);
-        ::kill(pid, SIGKILL);
-        int status = 0;
-        ::waitpid(pid, &status, 0);
-        return false;
-    }
-    armWorker(out, pid, slot, std::make_unique<SocketChannel>(fds[0]),
-              /*journals_locally=*/true);
-    return true;
-}
-
-bool
-spawnWorkerCommand(const std::string &command, unsigned slot,
-                   WorkerProc &out)
-{
+    // Close-on-exec, so no worker inherits another worker's pipe ends:
+    // each worker sees EOF as soon as the coordinator's end closes.
     int to_worker[2];   // Coordinator writes → worker stdin.
     int from_worker[2]; // Worker stdout → coordinator reads.
-    if (::pipe(to_worker) != 0)
+    if (::pipe2(to_worker, O_CLOEXEC) != 0)
         return false;
-    if (::pipe(from_worker) != 0) {
+    if (::pipe2(from_worker, O_CLOEXEC) != 0) {
         ::close(to_worker[0]);
         ::close(to_worker[1]);
         return false;
     }
-
-    const std::string full =
-        command + " --stdio --slot " + std::to_string(slot) +
-        " --fault-epoch " + std::to_string(out.spawn_count + 1);
 
     const pid_t pid = ::fork();
     if (pid < 0) {
@@ -198,15 +139,11 @@ spawnWorkerCommand(const std::string &command, unsigned slot,
         return false;
     }
     if (pid == 0) {
-        ::close(to_worker[1]);
-        ::close(from_worker[0]);
+        // dup2 clears close-on-exec on the stdin/stdout copies.
         if (::dup2(to_worker[0], 0) != 0 ||
             ::dup2(from_worker[1], 1) != 1)
             ::_exit(127);
-        ::close(to_worker[0]);
-        ::close(from_worker[1]);
-        ::execl("/bin/sh", "sh", "-c", full.c_str(),
-                static_cast<char *>(nullptr));
+        ::execv(argv[0], const_cast<char *const *>(argv.data()));
         ::_exit(127);
     }
 
@@ -220,10 +157,21 @@ spawnWorkerCommand(const std::string &command, unsigned slot,
         ::waitpid(pid, &status, 0);
         return false;
     }
-    armWorker(out, pid, slot,
-              std::make_unique<PipeChannel>(from_worker[0],
-                                            to_worker[1]),
-              /*journals_locally=*/false);
+
+    out.pid = pid;
+    out.slot = slot;
+    ++out.spawn_count;
+    out.said_hello = false;
+    out.busy_hint = false;
+    out.link = std::make_unique<FramedLink>(from_worker[0], to_worker[1]);
+    // The coordinator's send side participates in transport chaos too;
+    // spawn_count as the epoch keeps a respawned slot's schedule fresh.
+    out.link->enableFaults(chaos::transportChaosFromEnv(),
+                           LinkRole::Coordinator, slot,
+                           out.spawn_count);
+    out.last_heard = std::chrono::steady_clock::now();
+    out.job_start = out.last_heard;
+    out.in_flight = WorkerProc::kIdle;
     return true;
 }
 

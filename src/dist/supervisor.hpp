@@ -1,10 +1,11 @@
 /**
  * @file
  * Worker-process mechanics for the distributed sweep runner: locating
- * the bingo_worker binary, spawning it over a socketpair or through an
- * ssh-style command template (stdio transport), and the per-worker
- * supervision state the coordinator tracks (liveness, heartbeats, the
- * in-flight job, respawn counts).
+ * the bingo_worker binary, launching `bingo_worker --stdio` with its
+ * stdin/stdout piped to the coordinator (directly for a local slot,
+ * through an ssh-style command template for a BINGO_DIST_HOSTS slot),
+ * and the per-worker supervision state the coordinator tracks
+ * (liveness, heartbeats, the in-flight job, respawn counts).
  *
  * Policy — who to kill when, what counts as poison, how often to
  * respawn — lives in coordinator.cpp; this file is the mechanism.
@@ -42,11 +43,11 @@ std::string workerBinaryPath();
 
 /**
  * Worker-launch command templates from BINGO_DIST_HOSTS: a
- * ';'-separated list of shell commands, each launching one
- * `bingo_worker --stdio` (typically through ssh). The coordinator
- * appends ` --stdio --slot <n> --fault-epoch <e>` and runs the result
- * via `/bin/sh -c` with the worker's stdin/stdout as the transport.
- * Empty entries are dropped; unset/empty env yields an empty list.
+ * ';'-separated list of shell commands, each naming a bingo_worker
+ * (typically through ssh). spawnWorker appends
+ * ` --stdio --slot <n> --fault-epoch <e>` and runs the result via
+ * `/bin/sh -c`. Empty entries are dropped; unset/empty env yields an
+ * empty list.
  */
 std::vector<std::string> sweepDistHosts();
 
@@ -54,14 +55,9 @@ std::vector<std::string> sweepDistHosts();
 struct WorkerProc
 {
     pid_t pid = -1;
-    unsigned slot = 0;             ///< Stable shard slot (w<slot>).
+    unsigned slot = 0;             ///< Stable slot number (w<slot>).
     unsigned spawn_count = 0;      ///< Spawns consumed for this slot.
     bool said_hello = false;
-    /// Worker journals into a shard dir the coordinator can merge
-    /// (socketpair workers). Command/stdio workers may run on another
-    /// machine: the coordinator appends their accepted results to its
-    /// own shard log instead.
-    bool journals_locally = true;
     /// Worker's last self-reported state (heartbeat), plus an
     /// optimistic set on dispatch. A worker that claims idle while the
     /// coordinator believes it busy is how lost Job/Result frames are
@@ -83,26 +79,17 @@ struct WorkerProc
 };
 
 /**
- * Fork/exec one bingo_worker for `slot`, journaling into `shard_dir`.
- * The worker gets its end of a SOCK_STREAM socketpair as fd 3 and is
- * invoked as `bingo_worker --socket-fd 3 --shard-dir <dir> --slot <n>
- * --fault-epoch <spawn>`. On success fills pid and a SocketChannel
- * FramedLink (coordinator end non-blocking) and resets the
- * liveness clocks. Returns false (worker marked dead) when the
- * socketpair or fork fails.
+ * Fork/exec one `bingo_worker --stdio --slot <slot> --fault-epoch <e>`
+ * with its stdin/stdout piped to the coordinator, `e` being this
+ * slot's spawn number. `launcher` is the local worker binary, exec'd
+ * directly, or — with `via_shell` — a BINGO_DIST_HOSTS command
+ * template, run as `/bin/sh -c "<launcher> --stdio ..."`. On success
+ * fills pid and a FramedLink (coordinator read end non-blocking) and
+ * resets the liveness clocks. Returns false when the pipes or fork
+ * fail.
  */
-bool spawnWorker(const std::string &binary, const std::string &shard_dir,
+bool spawnWorker(const std::string &launcher, bool via_shell,
                  unsigned slot, WorkerProc &out);
-
-/**
- * Launch one worker through a BINGO_DIST_HOSTS command template:
- * `/bin/sh -c "<command> --stdio --slot <n> --fault-epoch <e>"` with
- * stdin/stdout piped to the coordinator (PipeChannel FramedLink; the
- * worker's own stdout chatter is rerouted to stderr on its side).
- * Returns false when the pipes or fork fail.
- */
-bool spawnWorkerCommand(const std::string &command, unsigned slot,
-                        WorkerProc &out);
 
 /**
  * SIGKILL + reap `worker` (blocking waitpid) and close its link. Safe
@@ -110,7 +97,7 @@ bool spawnWorkerCommand(const std::string &command, unsigned slot,
  * teardown path; worker death is *detected* by the coordinator through
  * link EOF (which flushes any buffered final frames first) or a
  * heartbeat/deadline expiry, never by closing the link early — a dead
- * worker's socket may still hold its last `result`.
+ * worker's pipe may still hold its last `result`.
  */
 void killWorker(WorkerProc &worker);
 

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include "chaos/chaos.hpp"
+#include "common/env.hpp"
 #include "common/hash.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/manifest.hpp"
@@ -34,19 +35,6 @@ namespace bingo
 
 namespace
 {
-
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *value = std::getenv(name);
-    if (value == nullptr || *value == '\0')
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (end == value)
-        return fallback;
-    return parsed;
-}
 
 std::atomic<std::uint64_t> g_completed_runs{0};
 std::atomic<std::uint64_t> g_simulated_cycles{0};
@@ -658,14 +646,7 @@ ScopedSweepSignals::~ScopedSweepSignals()
 double
 sweepJobTimeoutSeconds()
 {
-    const char *value = std::getenv("BINGO_JOB_TIMEOUT_S");
-    if (value == nullptr || *value == '\0')
-        return 0.0;
-    char *end = nullptr;
-    const double parsed = std::strtod(value, &end);
-    if (end == value || !(parsed > 0.0))
-        return 0.0;
-    return parsed;
+    return envSeconds("BINGO_JOB_TIMEOUT_S", 0.0);
 }
 
 std::string
@@ -885,6 +866,11 @@ runSweepOutcomes(const std::vector<SweepJob> &jobs,
     std::vector<RunResult> results(jobs.size());
     std::vector<std::string> fingerprints(jobs.size());
     const std::string journal_dir = sweepJournalDir();
+    // Read the per-job knobs here, on the calling thread: a malformed
+    // value throws before any pool thread or worker process trips over
+    // it mid-sweep.
+    (void)sweepRetries();
+    (void)sweepJobTimeoutSeconds();
 
     // Distributed dispatch is transparent: BINGO_DIST_WORKERS=N (local
     // worker processes) or BINGO_DIST_HOSTS (stdio workers launched
@@ -905,13 +891,13 @@ runSweepOutcomes(const std::vector<SweepJob> &jobs,
         dist::manifestStore(journal_dir, jobs);
 
     if (want_dist && !journal_dir.empty()) {
-        // A previous coordinator may have died after its workers
-        // journaled results but before the merge; fold those shards in
-        // so the resume pass below sees them.
+        // A previous coordinator may have died after logging results
+        // but before the merge; fold its log in so the resume pass
+        // below sees them.
         const ShardMergeStats leftover = journalMergeShards(journal_dir);
         if (leftover.merged > 0) {
             std::printf("Journal: recovered %llu record(s) from "
-                        "leftover worker shards\n",
+                        "a leftover coordinator log\n",
                         static_cast<unsigned long long>(
                             leftover.merged));
         }

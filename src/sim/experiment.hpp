@@ -14,7 +14,9 @@
  * sweep in minutes; override with the environment variables
  * BINGO_WARMUP_INSTRS and BINGO_MEASURE_INSTRS for higher fidelity.
  * BINGO_JOBS sets the sweep thread count (default: all hardware
- * threads; 1 restores fully serial execution).
+ * threads; 1 restores fully serial execution). Numeric knobs are parsed
+ * strictly (common/env.hpp): unset or empty means the default, and a
+ * malformed value throws std::invalid_argument.
  *
  * Fault tolerance: the *Outcomes entry points isolate per-job
  * failures — one simulation throwing no longer aborts the sweep.
@@ -97,7 +99,7 @@ struct SweepJob
 };
 
 /**
- * Sweep thread count: BINGO_JOBS if set (minimum 1), otherwise
+ * Sweep thread count: BINGO_JOBS if set and nonzero, otherwise
  * std::thread::hardware_concurrency().
  */
 unsigned sweepJobCount();

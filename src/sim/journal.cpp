@@ -457,14 +457,6 @@ journalShardRoot(const std::string &dir)
     return (std::filesystem::path(dir) / "shards").string();
 }
 
-std::string
-journalShardDir(const std::string &dir, unsigned slot)
-{
-    return (std::filesystem::path(journalShardRoot(dir)) /
-            ("w" + std::to_string(slot)))
-        .string();
-}
-
 void
 journalLogAppend(const std::string &path, const std::string &fingerprint,
                  const std::string &record)
@@ -489,9 +481,8 @@ namespace
 {
 
 /**
- * Fold one shard record (from a .run file or a log entry) into the
- * canonical dir. Shared by both merge paths so dedup/conflict/corrupt
- * semantics cannot drift. Throws on conflicting duplicates.
+ * Fold one logged record into the canonical dir: the dedup, conflict
+ * and corrupt-record rules. Throws on conflicting duplicates.
  */
 void
 mergeOneRecord(const std::string &dir, const std::string &fingerprint,
@@ -587,48 +578,13 @@ journalMergeShards(const std::string &dir)
     if (!fs::is_directory(root, ec))
         return stats;
 
-    std::vector<fs::path> shard_dirs;
     std::vector<fs::path> shard_logs;
     for (const auto &entry : fs::directory_iterator(root, ec)) {
-        if (entry.is_directory())
-            shard_dirs.push_back(entry.path());
-        else if (entry.is_regular_file() &&
-                 entry.path().extension() == ".log")
+        if (entry.is_regular_file() && entry.path().extension() == ".log")
             shard_logs.push_back(entry.path());
     }
     // Deterministic merge order, so which duplicate "wins" (they are
     // byte-identical anyway) never depends on directory enumeration.
-    std::sort(shard_dirs.begin(), shard_dirs.end());
-
-    for (const fs::path &shard : shard_dirs) {
-        ++stats.shard_dirs;
-        std::vector<fs::path> records;
-        for (const auto &entry : fs::directory_iterator(shard, ec)) {
-            if (entry.is_regular_file() &&
-                entry.path().extension() == ".run")
-                records.push_back(entry.path());
-        }
-        std::sort(records.begin(), records.end());
-        for (const fs::path &record : records) {
-            const std::string fingerprint = record.stem().string();
-            std::string content;
-            if (!readFile(record.string(), content)) {
-                std::fprintf(stderr,
-                             "journal: skipping unreadable shard "
-                             "record %s\n",
-                             record.string().c_str());
-                ++stats.corrupt;
-                fs::remove(record, ec);
-                continue;
-            }
-            mergeOneRecord(dir, fingerprint, content, record.string(),
-                           stats);
-            fs::remove(record, ec);
-        }
-        // Leave non-record droppings (stale temp files, test markers)
-        // behind only if present; an emptied shard dir is removed.
-        fs::remove(shard, ec);
-    }
     std::sort(shard_logs.begin(), shard_logs.end());
     for (const fs::path &log : shard_logs) {
         mergeShardLog(dir, log, stats);

@@ -4,9 +4,9 @@
  * round-trips with the fingerprint drift guard, transparent
  * BINGO_DIST_WORKERS dispatch with a merged journal byte-identical to
  * the single-process run, crash (SIGKILL) and hang recovery through
- * re-dispatch, poison-job quarantine, leftover-shard recovery after a
- * coordinator death, and the in-process fallback when no worker
- * binary exists.
+ * re-dispatch, poison-job quarantine, recovery of a dead coordinator's
+ * log, the in-process fallback when no worker binary exists, and the
+ * worker binary's strict argument parsing.
  *
  * Worker deaths in these tests are real: the worker process SIGKILLs
  * itself mid-dispatch (BINGO_DIST_TEST_CRASH_JOB), which is
@@ -15,11 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -237,6 +239,71 @@ TEST(DistProtocol, WorkerBinaryIsFoundNextToTheBuildTree)
     EXPECT_TRUE(std::filesystem::exists(path));
 }
 
+/** Exit code of `bingo_worker <args...>` run with stdin, stdout and
+ *  stderr on /dev/null; -1 when it did not exit normally. */
+int
+workerExitCode(const std::vector<std::string> &args)
+{
+    const std::string worker = workerBinaryPath();
+    std::vector<const char *> argv = {worker.c_str()};
+    for (const std::string &arg : args)
+        argv.push_back(arg.c_str());
+    argv.push_back(nullptr);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        const int null_fd = ::open("/dev/null", O_RDWR);
+        if (null_fd >= 0) {
+            for (int fd : {0, 1, 2})
+                ::dup2(null_fd, fd);
+        }
+        ::execv(worker.c_str(), const_cast<char *const *>(argv.data()));
+        ::_exit(127);
+    }
+    int status = 0;
+    if (pid < 0 || ::waitpid(pid, &status, 0) != pid ||
+        !WIFEXITED(status))
+        return -1;
+    return WEXITSTATUS(status);
+}
+
+TEST(DistWorker, MalformedArgumentsExitWithUsage)
+{
+    ASSERT_FALSE(workerBinaryPath().empty());
+    // Control: well-formed numbers parse; EOF on stdin ends the worker
+    // cleanly.
+    EXPECT_EQ(workerExitCode({"--stdio", "--slot", "1", "--fault-epoch",
+                              "2"}),
+              0);
+    EXPECT_EQ(workerExitCode({"--stdio", "--slot", "abc"}), 64);
+    EXPECT_EQ(workerExitCode({"--stdio", "--slot", "1x"}), 64);
+    EXPECT_EQ(workerExitCode({"--stdio", "--slot", "4294967296"}), 64);
+    EXPECT_EQ(workerExitCode({"--stdio", "--fault-epoch", "-3"}), 64);
+    EXPECT_EQ(workerExitCode({"--stdio", "--fault-epoch", ""}), 64);
+    EXPECT_EQ(workerExitCode({}), 64);
+    // The socketpair and worker-shard modes are gone.
+    EXPECT_EQ(workerExitCode({"--socket-fd", "3", "--shard-dir", "/tmp",
+                              "--slot", "0"}),
+              64);
+    EXPECT_EQ(workerExitCode({"--stdio", "--shard-dir", "/tmp"}), 64);
+}
+
+TEST(DistSweep, MalformedSupervisionKnobThrowsBeforeSpawning)
+{
+    const std::vector<SweepJob> jobs = {smallJob("em3d")};
+    std::vector<JobOutcome> outcomes(jobs.size());
+    dist::DistReport report;
+    EnvVar heartbeat("BINGO_DIST_HEARTBEAT_S", "-1");
+    try {
+        dist::runSweepDistributed(jobs, {0}, outcomes, 1, &report);
+        FAIL() << "a negative heartbeat timeout must throw";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("BINGO_DIST_HEARTBEAT_S"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(report.workers_spawned, 0u);
+}
+
 // --- Transparent distributed dispatch.
 
 TEST(DistSweep, MergedJournalIsByteIdenticalToSingleProcess)
@@ -248,7 +315,26 @@ TEST(DistSweep, MergedJournalIsByteIdenticalToSingleProcess)
     TempDir dist("dist_run");
     EnvVar journal("BINGO_JOURNAL_DIR", dist.path());
     EnvVar workers("BINGO_DIST_WORKERS", "2");
+    // Workers journal nothing themselves: watch for a per-worker shard
+    // directory for as long as the sweep runs.
+    std::atomic<bool> done{false};
+    std::atomic<bool> saw_worker_shard{false};
+    std::thread watcher([&] {
+        const std::string shards = journalShardRoot(dist.path());
+        while (!done.load()) {
+            std::error_code ec;
+            for (const auto &entry :
+                 std::filesystem::directory_iterator(shards, ec)) {
+                if (entry.path().filename().string().rfind("w", 0) == 0)
+                    saw_worker_shard.store(true);
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    });
     const std::vector<JobOutcome> outcomes = runSweepOutcomes(jobs);
+    done.store(true);
+    watcher.join();
+    EXPECT_FALSE(saw_worker_shard.load());
     ASSERT_EQ(outcomes.size(), jobs.size());
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         EXPECT_EQ(outcomes[i].status, JobStatus::Ok) << "job " << i;
@@ -386,10 +472,10 @@ TEST(DistSweep, PoisonJobIsQuarantinedAndSweepSurvives)
 
 TEST(DistSweep, LeftoverShardsFromDeadCoordinatorAreRecovered)
 {
-    // Simulate a coordinator that died after its workers journaled
-    // into shards but before the merge: the records sit under
-    // <journal>/shards/. The next distributed run must fold them in
-    // and skip those jobs.
+    // Simulate a coordinator that died after logging a result but
+    // before the merge: the record sits in
+    // <journal>/shards/coordinator.log. The next distributed run must
+    // fold it in and skip that job.
     const std::vector<SweepJob> jobs = smallSweep();
     TempDir dist("leftover_run");
     const SweepJob &done = jobs[2];
@@ -398,7 +484,8 @@ TEST(DistSweep, LeftoverShardsFromDeadCoordinatorAreRecovered)
     done_cfg.seed = done.options.seed;  // As the sweep runner would.
     const RunResult result =
         runWorkload(done.workload, done_cfg, done.options);
-    journalStore(journalShardDir(dist.path(), 7), fp, result);
+    journalLogAppend(journalShardRoot(dist.path()) + "/coordinator.log",
+                     fp, journalEncode(fp, result));
 
     EnvVar journal("BINGO_JOURNAL_DIR", dist.path());
     EnvVar workers("BINGO_DIST_WORKERS", "2");
@@ -448,9 +535,10 @@ TEST(DistLease, StalledWorkerResurfacingCannotDoubleCommit)
     EXPECT_EQ(dirContents(dist.path()), dirContents(reference.path()));
 }
 
-// --- stdio transport. Workers launched from a BINGO_DIST_HOSTS
-// command template speak frames over stdin/stdout, have no shard
-// directory, and commit through the coordinator's append log.
+// --- Host templates. Workers launched from a BINGO_DIST_HOSTS
+// command template run through /bin/sh and speak the same stdin/stdout
+// frames as local workers; every commit goes through the coordinator's
+// append log.
 
 TEST(DistHosts, StdioWorkersCommitThroughTheCoordinatorLog)
 {
@@ -539,9 +627,10 @@ TEST(DistCrash, CoordinatorKilledMidSweepResumesFromTheManifest)
          {"BINGO_DIST_TEST_STALL_JOB", "3:1200:once"}});
     ASSERT_GT(pid, 0);
 
-    // Kill -9 as soon as the first record commits to a worker shard
-    // (so some — not all — work survives the crash).
-    const std::string shards = journalShardRoot(dist.path());
+    // Kill -9 as soon as the first record commits to the coordinator
+    // log (so some — not all — work survives the crash).
+    const std::string log =
+        journalShardRoot(dist.path()) + "/coordinator.log";
     int status = 0;
     bool exited_early = false;
     for (int spin = 0; spin < 5000; ++spin) {
@@ -549,18 +638,8 @@ TEST(DistCrash, CoordinatorKilledMidSweepResumesFromTheManifest)
             exited_early = true;  // Weaker but valid: resume a no-op.
             break;
         }
-        bool found = false;
         std::error_code ec;
-        for (const auto &entry :
-             std::filesystem::recursive_directory_iterator(shards,
-                                                           ec)) {
-            if (entry.is_regular_file() &&
-                entry.path().extension() == ".run") {
-                found = true;
-                break;
-            }
-        }
-        if (found)
+        if (std::filesystem::file_size(log, ec) > 0 && !ec)
             break;
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -568,9 +647,9 @@ TEST(DistCrash, CoordinatorKilledMidSweepResumesFromTheManifest)
         ::kill(pid, SIGKILL);
         ASSERT_EQ(::waitpid(pid, &status, 0), pid);
         ASSERT_TRUE(WIFSIGNALED(status));
-        // Orphaned workers notice the dead socket and exit; the
-        // stalled one finishes its nap, journals to its shard, fails
-        // to report, and dies. Let that play out before resuming.
+        // Orphaned workers see EOF on stdin and exit; the stalled one
+        // finishes its nap, fails to report, and dies. Let that play
+        // out before resuming.
         std::this_thread::sleep_for(std::chrono::milliseconds(1800));
     }
 

@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "cache/cache.hpp"
 #include "mem/dram.hpp"
 #include "sim/experiment.hpp"
+#include "test_util.hpp"
 
 namespace bingo
 {
@@ -166,20 +168,45 @@ TEST_F(HierarchyTest, DirtyL1EvictionStaysSilentDirtyLlcWritesToDram)
 
 TEST(ExperimentEnv, OptionsHonourEnvironment)
 {
-    setenv("BINGO_WARMUP_INSTRS", "1234", 1);
-    setenv("BINGO_MEASURE_INSTRS", "5678", 1);
-    setenv("BINGO_SEED", "99", 1);
-    const ExperimentOptions options = defaultOptions();
-    unsetenv("BINGO_WARMUP_INSTRS");
-    unsetenv("BINGO_MEASURE_INSTRS");
-    unsetenv("BINGO_SEED");
-    EXPECT_EQ(options.warmup_instructions, 1234u);
-    EXPECT_EQ(options.measure_instructions, 5678u);
-    EXPECT_EQ(options.seed, 99u);
-    // Garbage values fall back to defaults.
-    setenv("BINGO_SEED", "not-a-number", 1);
-    EXPECT_EQ(defaultOptions().seed, 42u);
-    unsetenv("BINGO_SEED");
+    {
+        test::EnvVar warmup("BINGO_WARMUP_INSTRS", "1234");
+        test::EnvVar measure("BINGO_MEASURE_INSTRS", "5678");
+        test::EnvVar seed("BINGO_SEED", "99");
+        const ExperimentOptions options = defaultOptions();
+        EXPECT_EQ(options.warmup_instructions, 1234u);
+        EXPECT_EQ(options.measure_instructions, 5678u);
+        EXPECT_EQ(options.seed, 99u);
+    }
+    {
+        // Empty means unset: the default applies.
+        test::EnvVar seed("BINGO_SEED", "");
+        EXPECT_EQ(defaultOptions().seed, 42u);
+    }
+    // Malformed values fail loudly, naming the knob and the value,
+    // instead of silently running a different experiment.
+    {
+        test::EnvVar seed("BINGO_SEED", "not-a-number");
+        EXPECT_THROW(defaultOptions(), std::invalid_argument);
+    }
+    {
+        // Once parsed as 5, a sweep 10000x shorter than asked for.
+        test::EnvVar measure("BINGO_MEASURE_INSTRS", "5e4");
+        try {
+            defaultOptions();
+            FAIL() << "5e4 must not parse as an instruction count";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("BINGO_MEASURE_INSTRS"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("5e4"), std::string::npos) << what;
+        }
+    }
+    {
+        // Once silently meant "all cores".
+        test::EnvVar jobs("BINGO_JOBS", "abc");
+        EXPECT_THROW(sweepJobCount(), std::invalid_argument);
+    }
 }
 
 } // namespace

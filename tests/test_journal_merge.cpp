@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests of journal shard merging (journalMergeShards): worker shard
- * records folding into the canonical journal, deduplication of
- * identical duplicates (deterministic re-simulation after a worker
- * death), the hard error on conflicting duplicates, and skip-with-
- * warning on truncated/corrupt shard records.
+ * Tests of journal log merging (journalMergeShards): records the
+ * coordinator appended to its log folding into the canonical journal,
+ * deduplication of identical duplicates (deterministic re-simulation),
+ * the hard error on conflicting duplicates, skip-with-warning on
+ * truncated/corrupt records, and prefix recovery of a log whose writer
+ * died mid-append.
  */
 
 #include <gtest/gtest.h>
@@ -75,52 +76,35 @@ readFile(const std::string &path)
                        std::istreambuf_iterator<char>());
 }
 
+/** `<dir>/shards/coordinator.log`, where the coordinator commits. */
+std::string
+coordinatorLog(const TempDir &dir)
+{
+    return journalShardRoot(dir.path()) + "/coordinator.log";
+}
+
 TEST(JournalMerge, MissingShardsDirectoryIsANoop)
 {
     TempDir dir("merge_absent");
     const ShardMergeStats stats = journalMergeShards(dir.path());
-    EXPECT_EQ(stats.shard_dirs, 0u);
+    EXPECT_EQ(stats.shard_logs, 0u);
     EXPECT_EQ(stats.merged, 0u);
     EXPECT_EQ(stats.deduplicated, 0u);
     EXPECT_EQ(stats.corrupt, 0u);
 }
 
-TEST(JournalMerge, ShardRecordsMoveIntoCanonicalDirByteForByte)
-{
-    TempDir dir("merge_basic");
-    const std::string fp = realFingerprint();
-    journalStore(journalShardDir(dir.path(), 0), fp, realResult());
-    const std::string shard_bytes =
-        readFile(journalRecordPath(journalShardDir(dir.path(), 0), fp));
-    ASSERT_FALSE(shard_bytes.empty());
-
-    const ShardMergeStats stats = journalMergeShards(dir.path());
-    EXPECT_EQ(stats.shard_dirs, 1u);
-    EXPECT_EQ(stats.merged, 1u);
-    EXPECT_EQ(stats.deduplicated, 0u);
-    EXPECT_EQ(stats.corrupt, 0u);
-
-    // Canonical record is byte-for-byte the shard record, loadable,
-    // and the emptied shard tree is gone.
-    EXPECT_EQ(readFile(journalRecordPath(dir.path(), fp)), shard_bytes);
-    RunResult restored;
-    EXPECT_TRUE(journalLoad(dir.path(), fp, restored));
-    EXPECT_EQ(restored.ipcSum(), realResult().ipcSum());
-    EXPECT_FALSE(
-        std::filesystem::exists(journalShardRoot(dir.path())));
-}
-
 TEST(JournalMerge, IdenticalDuplicatesAcrossShardsDeduplicate)
 {
-    // A job re-dispatched after a worker death lands in two shards
-    // with byte-identical payloads (deterministic re-simulation).
+    // A job whose record reaches the log twice — re-simulation is
+    // deterministic, so the payloads are byte-identical.
     TempDir dir("merge_dedup");
     const std::string fp = realFingerprint();
-    journalStore(journalShardDir(dir.path(), 0), fp, realResult());
-    journalStore(journalShardDir(dir.path(), 3), fp, realResult());
+    const std::string rec = journalEncode(fp, realResult());
+    journalLogAppend(coordinatorLog(dir), fp, rec);
+    journalLogAppend(coordinatorLog(dir), fp, rec);
 
     const ShardMergeStats stats = journalMergeShards(dir.path());
-    EXPECT_EQ(stats.shard_dirs, 2u);
+    EXPECT_EQ(stats.shard_logs, 1u);
     EXPECT_EQ(stats.merged, 1u);
     EXPECT_EQ(stats.deduplicated, 1u);
     RunResult restored;
@@ -132,7 +116,8 @@ TEST(JournalMerge, DuplicateOfExistingCanonicalRecordDeduplicates)
     TempDir dir("merge_dedup_canon");
     const std::string fp = realFingerprint();
     journalStore(dir.path(), fp, realResult());
-    journalStore(journalShardDir(dir.path(), 1), fp, realResult());
+    journalLogAppend(coordinatorLog(dir), fp,
+                     journalEncode(fp, realResult()));
 
     const ShardMergeStats stats = journalMergeShards(dir.path());
     EXPECT_EQ(stats.merged, 0u);
@@ -152,8 +137,7 @@ TEST(JournalMerge, ConflictingDuplicateIsAHardErrorNamingBothPaths)
 
     RunResult tampered = realResult();
     tampered.instructions += 1;
-    writeFile(journalRecordPath(journalShardDir(dir.path(), 2), fp),
-              journalEncode(fp, tampered));
+    journalLogAppend(coordinatorLog(dir), fp, journalEncode(fp, tampered));
 
     try {
         journalMergeShards(dir.path());
@@ -163,9 +147,7 @@ TEST(JournalMerge, ConflictingDuplicateIsAHardErrorNamingBothPaths)
         EXPECT_NE(what.find(journalRecordPath(dir.path(), fp)),
                   std::string::npos)
             << what;
-        EXPECT_NE(what.find(journalRecordPath(
-                      journalShardDir(dir.path(), 2), fp)),
-                  std::string::npos)
+        EXPECT_NE(what.find(coordinatorLog(dir)), std::string::npos)
             << what;
     }
 }
@@ -176,15 +158,14 @@ TEST(JournalMerge, TruncatedShardRecordIsSkippedOthersMerge)
     const std::string fp = realFingerprint();
     const std::string good = journalEncode(fp, realResult());
 
-    // w0 holds a record truncated mid-write; w1 holds a good one of
-    // the same fingerprint plus pure garbage under another name.
-    writeFile(journalRecordPath(journalShardDir(dir.path(), 0), fp),
-              good.substr(0, good.size() / 2));
-    writeFile(journalRecordPath(journalShardDir(dir.path(), 1), fp),
-              good);
-    writeFile(journalShardDir(dir.path(), 1) +
-                  "/deadbeefdeadbeefdeadbeefdeadbeef.run",
-              "not a journal record at all\n");
+    // Three complete log entries: a record truncated mid-write, a good
+    // one of the same fingerprint, and pure garbage under another name.
+    journalLogAppend(coordinatorLog(dir), fp,
+                     good.substr(0, good.size() / 2));
+    journalLogAppend(coordinatorLog(dir), fp, good);
+    journalLogAppend(coordinatorLog(dir),
+                     "deadbeefdeadbeefdeadbeefdeadbeef",
+                     "not a journal record at all\n");
 
     const ShardMergeStats stats = journalMergeShards(dir.path());
     EXPECT_EQ(stats.merged, 1u);
@@ -195,9 +176,9 @@ TEST(JournalMerge, TruncatedShardRecordIsSkippedOthersMerge)
         std::filesystem::exists(journalShardRoot(dir.path())));
 }
 
-// --- Append-only shard logs (journalLogAppend): how stdio/remote
-// workers' results reach the canonical journal, and what survives when
-// the appender is kill -9'd mid-write.
+// --- The append-only coordinator log (journalLogAppend): how worker
+// results reach the canonical journal, and what survives when the
+// appender is kill -9'd mid-write.
 
 TEST(JournalMerge, ShardLogRecordsFoldInAndTheLogIsRemoved)
 {
@@ -206,8 +187,7 @@ TEST(JournalMerge, ShardLogRecordsFoldInAndTheLogIsRemoved)
     const std::string rec = journalEncode(fp, realResult());
     const std::string fp2 = "deadbeef01";
     const std::string rec2 = journalEncode(fp2, realResult());
-    const std::string log =
-        journalShardRoot(dir.path()) + "/coordinator.log";
+    const std::string log = coordinatorLog(dir);
     journalLogAppend(log, fp, rec);
     journalLogAppend(log, fp2, rec2);
 
@@ -231,8 +211,7 @@ TEST(JournalMerge, TruncatedLogTailKeepsTheValidPrefix)
     const std::string fp = realFingerprint();
     const std::string rec = journalEncode(fp, realResult());
     const std::string rec2 = journalEncode("deadbeef01", realResult());
-    const std::string log =
-        journalShardRoot(dir.path()) + "/coordinator.log";
+    const std::string log = coordinatorLog(dir);
     journalLogAppend(log, fp, rec);
     journalLogAppend(log, "deadbeef01", rec2);
     std::string bytes = readFile(log);
@@ -249,25 +228,6 @@ TEST(JournalMerge, TruncatedLogTailKeepsTheValidPrefix)
     // The damaged log does not outlive the merge (its prefix did).
     EXPECT_FALSE(
         std::filesystem::exists(journalShardRoot(dir.path())));
-}
-
-TEST(JournalMerge, LogDuplicateOfAShardRecordDeduplicates)
-{
-    // The same result can reach the merge twice — once from a worker
-    // shard, once from the coordinator log — after a worker loses its
-    // link mid-report and the job is re-dispatched to a stdio worker.
-    // Identical bytes deduplicate; they must never conflict.
-    TempDir dir("merge_logdup");
-    const std::string fp = realFingerprint();
-    const std::string rec = journalEncode(fp, realResult());
-    journalStore(journalShardDir(dir.path(), 0), fp, realResult());
-    journalLogAppend(journalShardRoot(dir.path()) + "/coordinator.log",
-                     fp, rec);
-
-    const ShardMergeStats stats = journalMergeShards(dir.path());
-    EXPECT_EQ(stats.merged, 1u);
-    EXPECT_EQ(stats.deduplicated, 1u);
-    EXPECT_EQ(readFile(journalRecordPath(dir.path(), fp)), rec);
 }
 
 TEST(JournalMerge, EncodeDecodeRoundTripsBitExactly)

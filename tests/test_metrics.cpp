@@ -6,13 +6,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
+#include <filesystem>
 
 #include "common/config.hpp"
 #include "sim/area_model.hpp"
 #include "sim/metrics.hpp"
 #include "sim/report.hpp"
+#include "test_util.hpp"
 
 namespace bingo
 {
@@ -183,13 +183,14 @@ TEST(Report, CsvWriteHonoursEnv)
 {
     TextTable table({"a"});
     table.addRow({"1"});
-    unsetenv("BINGO_CSV_DIR");
-    EXPECT_FALSE(table.maybeWriteCsv("nope"));
-    const std::string dir = ::testing::TempDir();
-    setenv("BINGO_CSV_DIR", dir.c_str(), 1);
+    {
+        test::EnvVar unset("BINGO_CSV_DIR", "");
+        EXPECT_FALSE(table.maybeWriteCsv("nope"));
+    }
+    const test::TempDir dir("csv");
+    std::filesystem::create_directories(dir.path());
+    test::EnvVar csv_dir("BINGO_CSV_DIR", dir.path());
     EXPECT_TRUE(table.maybeWriteCsv("bingo_csv_test"));
-    unsetenv("BINGO_CSV_DIR");
-    std::remove((dir + "/bingo_csv_test.csv").c_str());
 }
 
 TEST(Report, Formatters)

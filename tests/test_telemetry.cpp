@@ -444,9 +444,8 @@ TEST(ExportTest, HistogramJsonListsOccupiedBuckets)
 TEST(ExportTest, WriteRunTelemetryEmitsThreeFiles)
 {
     namespace fs = std::filesystem;
-    const fs::path dir =
-        fs::temp_directory_path() / "bingo_telemetry_test";
-    fs::remove_all(dir);
+    const test::TempDir scratch("telemetry_export");
+    const fs::path dir = scratch.path();
 
     telemetry::Options options;
     options.epoch_instructions = 100;
@@ -497,37 +496,43 @@ TEST(ExportTest, WriteRunTelemetryEmitsThreeFiles)
               std::string::npos);
     EXPECT_NE(trace_json.str().find("\"ph\":\"C\""),
               std::string::npos);
-
-    fs::remove_all(dir);
 }
 
 TEST(TelemetryEnvTest, Knobs)
 {
-    unsetenv("BINGO_EPOCH_INSTRS");
-    unsetenv("BINGO_TELEMETRY");
-    unsetenv("BINGO_TELEMETRY_DIR");
-    EXPECT_EQ(telemetry::optionsFromEnv().epoch_instructions,
-              telemetry::Options{}.epoch_instructions);
-    EXPECT_FALSE(telemetry::requested());
-    EXPECT_TRUE(telemetry::outputDir().empty());
-
-    setenv("BINGO_EPOCH_INSTRS", "12345", 1);
-    EXPECT_EQ(telemetry::optionsFromEnv().epoch_instructions, 12345u);
-    setenv("BINGO_EPOCH_INSTRS", "nonsense", 1);
-    EXPECT_EQ(telemetry::optionsFromEnv().epoch_instructions,
-              telemetry::Options{}.epoch_instructions);
-    unsetenv("BINGO_EPOCH_INSTRS");
-
-    setenv("BINGO_TELEMETRY", "0", 1);
-    EXPECT_FALSE(telemetry::requested());
-    setenv("BINGO_TELEMETRY", "1", 1);
-    EXPECT_TRUE(telemetry::requested());
-    unsetenv("BINGO_TELEMETRY");
-
-    setenv("BINGO_TELEMETRY_DIR", "/tmp/t-out", 1);
-    EXPECT_TRUE(telemetry::requested());
-    EXPECT_EQ(telemetry::outputDir(), "/tmp/t-out");
-    unsetenv("BINGO_TELEMETRY_DIR");
+    {
+        test::EnvVar epoch("BINGO_EPOCH_INSTRS", "");
+        test::EnvVar flag("BINGO_TELEMETRY", "");
+        test::EnvVar dir("BINGO_TELEMETRY_DIR", "");
+        EXPECT_EQ(telemetry::optionsFromEnv().epoch_instructions,
+                  telemetry::Options{}.epoch_instructions);
+        EXPECT_FALSE(telemetry::requested());
+        EXPECT_TRUE(telemetry::outputDir().empty());
+    }
+    test::EnvVar dir("BINGO_TELEMETRY_DIR", "");
+    {
+        test::EnvVar epoch("BINGO_EPOCH_INSTRS", "12345");
+        EXPECT_EQ(telemetry::optionsFromEnv().epoch_instructions, 12345u);
+    }
+    {
+        test::EnvVar epoch("BINGO_EPOCH_INSTRS", "nonsense");
+        EXPECT_EQ(telemetry::optionsFromEnv().epoch_instructions,
+                  telemetry::Options{}.epoch_instructions);
+    }
+    {
+        test::EnvVar flag("BINGO_TELEMETRY", "0");
+        EXPECT_FALSE(telemetry::requested());
+    }
+    {
+        test::EnvVar flag("BINGO_TELEMETRY", "1");
+        EXPECT_TRUE(telemetry::requested());
+    }
+    {
+        test::EnvVar flag("BINGO_TELEMETRY", "");
+        test::EnvVar out("BINGO_TELEMETRY_DIR", "/tmp/t-out");
+        EXPECT_TRUE(telemetry::requested());
+        EXPECT_EQ(telemetry::outputDir(), "/tmp/t-out");
+    }
 }
 
 /** End-to-end: a real run produces aligned per-phase epoch series. */
