@@ -1,5 +1,6 @@
 #include "core/ooo_core.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 #include "common/sim_check.hpp"
@@ -26,19 +27,23 @@ OooCore::OooCore(CoreId id, const CoreConfig &config, Cache &l1d,
                  TraceSource &trace)
     : id_(id), config_(config), l1d_(l1d), trace_(trace),
       rob_(nextPow2(config.rob_entries)),
-      rob_mask_(rob_.size() - 1), rob_capacity_(config.rob_entries)
+      rob_done_(rob_.size(), kNeverCycle), rob_mask_(rob_.size() - 1),
+      rob_capacity_(config.rob_entries)
 {
     if (config.rob_entries == 0 || config.width == 0)
         throw std::invalid_argument(
             "OooCore: rob_entries and width must be nonzero");
+    if (std::has_single_bit(config.width))
+        width_shift_ = std::countr_zero(config.width);
 }
 
 void
 OooCore::step(Cycle now)
 {
-    // Lazily account any window the run loop skipped stepping this
-    // core across (it was provably blocked throughout — callbacks
-    // that changed that synced and flagged wakeDirty() already).
+    // Catch up the window the run loop skipped stepping this core
+    // across (nothing in it reached past the core's private state;
+    // callbacks that could change that synced and flagged
+    // wakeDirty()).
     if (now > now_ + 1)
         syncTo(now - 1);
     now_ = now;
@@ -55,22 +60,128 @@ OooCore::step(Cycle now)
 }
 
 void
-OooCore::fastForward(std::uint64_t cycles, Cycle last)
+OooCore::applyWindow(Cycle through)
 {
-    // step() records its cycle even for a finished core (completion
-    // callbacks clamp against it), so the cursor always moves.
-    now_ = last;
-    if (measurement_done_ || cycles == 0)
+    if (measurement_done_) {
+        // step() records its cycle even for a finished core
+        // (completion callbacks clamp against it).
+        now_ = through;
         return;
-    // The skipped step() calls would each have counted one stall
-    // cycle under the block reason that held for the whole window:
-    // dispatch() checks ROB occupancy before the LSQ, so mirror that
-    // priority.
-    stats_.cycles += cycles;
-    if (rob_tail_ - rob_head_ >= rob_capacity_)
-        stats_.rob_full_cycles += cycles;
-    else if (record_held_ && lsq_used_ >= config_.lsq_entries)
-        stats_.lsq_full_cycles += cycles;
+    }
+    // Before the wake, a cycle only retires timed slots and dispatches
+    // non-memory instructions, or stalls. Replay that on local copies
+    // of the ROB cursors; which fetched ops the dispatched slots came
+    // from is settled once at the end. Only a callback frees an LSQ
+    // entry, so a held memory op stays held throughout.
+    const bool held = record_held_ && lsq_used_ >= config_.lsq_entries;
+    const std::uint64_t width = config_.width;
+    const Cycle latency = config_.alu_latency;
+    const std::uint64_t first_seq = rob_tail_;
+    std::uint64_t head = rob_head_;
+    std::uint64_t tail = rob_tail_;
+    std::uint64_t rob_full = 0;
+    std::uint64_t lsq_full = 0;
+    Cycle now = now_ + 1;
+    // While the ROB has room at the start of a cycle, dispatch takes
+    // `width` or what room is left (dispatch() notes the ROB full when
+    // it runs out first).
+    for (; !held && now <= through && tail - head < rob_capacity_;
+         ++now) {
+        const std::uint64_t ready = std::min(width, tail - head);
+        std::uint64_t n = 0;
+        while (n < ready && rob_done_[(head + n) & rob_mask_] <= now)
+            ++n;
+        head += n;
+        const std::uint64_t take =
+            std::min(width, rob_capacity_ - (tail - head));
+        for (std::uint64_t i = 0; i < take; ++i)
+            rob_done_[(tail + i) & rob_mask_] = now + latency;
+        tail += take;
+        rob_full += take < width ? 1 : 0;
+    }
+    if (now <= through) {
+        // From here every cycle starts with the ROB full, or dispatch
+        // held: a full ROB refills exactly what retires, so the cycles
+        // matter only through their retirements. Walk those slot by
+        // slot, at most `width` a cycle and none before the slot's
+        // completion.
+        const Cycle start = now;
+        const bool start_full = tail - head >= rob_capacity_;
+        Cycle first_retire = through + 1;
+        std::uint64_t full_width = 0;  // Cycles that retired `width`.
+        std::uint64_t used = 0;        // Retired so far in `now`.
+        while (head != tail) {
+            const Cycle done = rob_done_[head & rob_mask_];
+            if (done > now) {
+                if (done > through)
+                    break;
+                now = done;
+                used = 0;
+            }
+            first_retire = std::min(first_retire, now);
+            ++head;
+            if (!held)
+                rob_done_[tail++ & rob_mask_] = now + latency;
+            if (++used == width) {
+                ++full_width;
+                used = 0;
+                if (++now > through)
+                    break;
+            }
+        }
+        const std::uint64_t cycles = through + 1 - start;
+        if (!held) {
+            rob_full += cycles - full_width;  // Refilled short.
+        } else {
+            // Held: the ROB stays full only until it first retires.
+            const std::uint64_t blocked =
+                start_full ? first_retire - start : 0;
+            rob_full += blocked;
+            lsq_full += cycles - blocked;
+        }
+    }
+
+    const std::uint64_t retired = head - rob_head_;
+    if (retired > 0 && stats_.instructions + retired >= measure_target_)
+        windowOverrun(through, "the measurement quota");
+    // The dispatched slots come from the fetched run and its branches;
+    // reaching a Load/Store or the batch end means the wake was late.
+    for (std::uint64_t seq = first_seq; seq != tail;) {
+        if (fetch_pos_ == fetch_end_)
+            windowOverrun(through, "a trace pull");
+        TraceOp &op = fetch_ops_[fetch_pos_];
+        if (op.alu > 0) {
+            const std::uint64_t take =
+                std::min<std::uint64_t>(op.alu, tail - seq);
+            op.alu -= static_cast<std::uint32_t>(take);
+            seq += take;
+            if (op.alu == 0 && op.type == InstrType::Alu)
+                ++fetch_pos_;
+            continue;
+        }
+        if (op.type != InstrType::Branch)
+            windowOverrun(through, "a memory access");
+        rob_[seq & rob_mask_].seq = seq;
+        ++stats_.branches;
+        record_held_ = false;
+        ++fetch_pos_;
+        ++seq;
+    }
+    rob_head_ = head;
+    rob_tail_ = tail;
+    stats_.instructions += retired;
+    stats_.cycles += through - now_;
+    stats_.rob_full_cycles += rob_full;
+    stats_.lsq_full_cycles += lsq_full;
+    now_ = through;
+}
+
+void
+OooCore::windowOverrun(Cycle now, const char *what) const
+{
+    throw SimError("core" + std::to_string(id_), now,
+                   std::string("lazily applied cycles reached ") + what +
+                       " before the core's wake");
 }
 
 void
@@ -78,10 +189,9 @@ OooCore::retire(Cycle now)
 {
     unsigned retired = 0;
     while (retired < config_.width && rob_head_ != rob_tail_) {
-        RobSlot &slot = rob_[rob_head_ & rob_mask_];
         // kNeverCycle (in flight) is > now by construction, so one
         // compare covers both "incomplete" and "not ready yet".
-        if (slot.done > now)
+        if (rob_done_[rob_head_ & rob_mask_] > now)
             break;
         ++rob_head_;
         ++retired;
@@ -136,7 +246,7 @@ OooCore::dispatch(Cycle now)
                 take = rob_capacity_ - occupied;
             const Cycle done = now + config_.alu_latency;
             for (std::uint64_t i = 0; i < take; ++i)
-                rob_[(rob_tail_ + i) & rob_mask_].done = done;
+                rob_done_[(rob_tail_ + i) & rob_mask_] = done;
             rob_tail_ += take;
             op.alu -= static_cast<std::uint32_t>(take);
             dispatched += static_cast<unsigned>(take);
@@ -161,14 +271,15 @@ OooCore::dispatch(Cycle now)
 
         const std::uint64_t seq = rob_tail_++;
         RobSlot &slot = rob_[seq & rob_mask_];
+        Cycle &done = rob_done_[seq & rob_mask_];
         slot.seq = seq;
-        slot.done = kNeverCycle;
+        done = kNeverCycle;
 
         switch (op.type) {
           case InstrType::Alu:  // Rejected above.
             break;
           case InstrType::Branch:
-            slot.done = now + config_.alu_latency;
+            done = now + config_.alu_latency;
             ++stats_.branches;
             break;
           case InstrType::Load: {
@@ -186,7 +297,8 @@ OooCore::dispatch(Cycle now)
             if (op.dependent && has_last_load_) {
                 RobSlot &prev = rob_[last_load_seq_ & rob_mask_];
                 if (prev.seq == last_load_seq_ &&
-                    prev.done == kNeverCycle) {
+                    rob_done_[last_load_seq_ & rob_mask_] ==
+                        kNeverCycle) {
                     prev.deferred.emplace_back(seq, access);
                     deferred = true;
                 }
@@ -202,7 +314,7 @@ OooCore::dispatch(Cycle now)
             ++lsq_used_;
             // Stores retire without waiting for the write to complete;
             // the LSQ entry models store-buffer pressure until then.
-            slot.done = now + config_.alu_latency;
+            done = now + config_.alu_latency;
             MemAccess access;
             access.block = blockAlign(op.addr);
             access.pc = op.pc;
@@ -258,8 +370,8 @@ OooCore::registerTelemetry(telemetry::Registry &registry) const
             out["cycles"] = stats_.cycles;
             out["rob_full_cycles"] = stats_.rob_full_cycles;
             out["lsq_full_cycles"] = stats_.lsq_full_cycles;
-            out["rob_occupancy"] = rob_tail_ - rob_head_;
-            out["lsq_occupancy"] = lsq_used_;
+            out["rob_occupancy"] = robOccupancy();
+            out["lsq_occupancy"] = lsqOccupancy();
         });
 }
 

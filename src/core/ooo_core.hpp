@@ -225,63 +225,50 @@ class OooCore
     void step(Cycle now);
 
     /**
-     * Earliest cycle after `now` at which step() could do anything
-     * beyond fixed stall bookkeeping, assuming no memory completion
-     * callback arrives first (the run loop bounds the jump by the
-     * event queue separately, so callbacks never need predicting
-     * here). Returns now + 1 whenever the core can retire or dispatch
-     * next cycle, the ROB head's completion cycle when only a timed
-     * retirement is pending, and kNeverCycle when only an external
-     * fill/store callback (or nothing — quota reached) can unblock it.
-     * Conservative by contract: never later than the true next state
-     * change. Defined inline below: the run loop probes it every
-     * working cycle, so the dispatchable fast path must fold into the
-     * caller.
+     * Earliest cycle after `now` at which step() may touch state
+     * outside the core's private window, given the core's state at
+     * the end of cycle `now` and no completion callback in between
+     * (the run loop bounds the jump by the event queue separately,
+     * and a callback that can move the wake flags wakeDirty()). It is
+     * the earliest of:
+     *  - the cycle dispatch reaches the next Load/Store (it issues to
+     *    the L1D or is held at a full LSQ) or the end of the fetched
+     *    op batch (the next nextOps() pull);
+     *  - the cycle retirement could reach the measurement quota;
+     *  - the cycle the ROB fills behind an in-flight head;
+     *  - while stalled (ROB full, or a memory op held at a full LSQ),
+     *    the head's timed retirement; kNeverCycle when only a
+     *    callback can unblock the core, or once the quota is met.
+     * Before it, non-memory runs and branches dispatch exactly
+     * `width` per cycle and retire in order, or the core stalls:
+     * private bookkeeping that syncTo() applies lazily. Conservative
+     * by contract: never later than the true wake. Defined inline
+     * below: the run loop evaluates it after every step.
      */
     Cycle nextWakeCycle(Cycle now) const;
 
     /**
-     * True when step(now + 1) could retire or dispatch, i.e. the run
-     * loop must not attempt a jump. Exactly nextWakeCycle(now) ==
-     * now + 1, but cheaper on the common dispatchable path.
-     */
-    bool dispatchableNext(Cycle now) const
-    {
-        return nextWakeCycle(now) == now + 1;
-    }
-
-    /**
-     * Account for `cycles` skipped stall cycles ending at cycle
-     * `last`: applies exactly the per-cycle bookkeeping the skipped
-     * step() calls would have performed (cycle count plus the
-     * rob-full/lsq-full stall counter of the current block reason) and
-     * moves the core's cycle cursor to `last`, as step(last) would
-     * have. Only valid when nextWakeCycle() and the event queue proved
-     * the window is pure stall; the bit-identity of skipped runs
-     * rests on this mirroring step() exactly.
-     */
-    void fastForward(std::uint64_t cycles, Cycle last);
-
-    /**
-     * Catch the stall bookkeeping up through cycle `through` (no-op
-     * when the cursor is already there). The run loop skips stepping
-     * a core whose nextWakeCycle() lies ahead, so the core accounts
-     * the gap lazily: step() syncs before acting, and completion
-     * callbacks sync before mutating state — against the pre-event
-     * block reason, exactly as the stepped loop would have counted
-     * the window.
+     * Apply the cycles after the last stepped or synced one through
+     * `through` (no-op when the cursor is already there), exactly as
+     * step() would have. The run loop skips stepping a core whose
+     * nextWakeCycle() lies ahead, so the core catches up lazily:
+     * step() syncs before acting, a completion callback that can move
+     * the wake syncs before mutating state (any other one only stamps
+     * a completion cycle, which the window reads as such), and the
+     * run loop syncs every core before it reads their counters. Only
+     * valid for cycles before the wake; crossing it throws SimError.
      */
     void
     syncTo(Cycle through)
     {
         if (through > now_)
-            fastForward(through - now_, through);
+            applyWindow(through);
     }
 
     /**
-     * True when a completion callback landed since the last step: the
-     * cached nextWakeCycle() bound no longer holds and the run loop
-     * must step the core again.
+     * True when a completion callback landed since the last step that
+     * may have moved the wake earlier: the cached nextWakeCycle()
+     * bound no longer holds and the run loop must re-derive it.
      */
     bool wakeDirty() const { return wake_dirty_; }
     void clearWakeDirty() { wake_dirty_ = false; }
@@ -310,6 +297,12 @@ class OooCore
     const CoreStats &stats() const { return stats_; }
     CoreId id() const { return id_; }
 
+    /** Instructions in the ROB. */
+    std::uint64_t robOccupancy() const { return rob_tail_ - rob_head_; }
+
+    /** Memory instructions holding an LSQ entry. */
+    unsigned lsqOccupancy() const { return lsq_used_; }
+
     /** Register counters and window-occupancy probes ("core<id>."). */
     void registerTelemetry(telemetry::Registry &registry) const;
 
@@ -318,20 +311,42 @@ class OooCore
     /// completions straight into completeLoad()/completeStore().
     friend class Completion;
 
+    /// What a ROB slot holds besides its completion cycle; only load
+    /// and branch dispatch write it.
     struct RobSlot
     {
         std::uint64_t seq = 0;
-        /// Cycle the instruction's result is ready; kNeverCycle while
-        /// the instruction is still in flight. Fusing the former
-        /// `completed` flag into the sentinel makes retirement a
-        /// single compare per slot.
-        Cycle done = kNeverCycle;
         /// Dependent loads waiting for this load's data before issuing.
         std::vector<std::pair<std::uint64_t, MemAccess>> deferred;
     };
 
     void retire(Cycle now);
     void dispatch(Cycle now);
+
+    /**
+     * syncTo() past the cursor: a core-local replay of retire() and
+     * dispatch() restricted to what can happen before the wake, with
+     * stall stretches counted at once.
+     */
+    void applyWindow(Cycle through);
+
+    /**
+     * Instructions dispatch can take from the fetched batch before it
+     * reaches a Load/Store or the batch end: the run and branches
+     * ahead of the next stop.
+     */
+    std::uint64_t runBudget() const;
+
+    /** `count / width`: a shift for the usual power-of-two width. */
+    std::uint64_t
+    perWidth(std::uint64_t count) const
+    {
+        return width_shift_ >= 0 ? count >> width_shift_
+                                 : count / config_.width;
+    }
+
+    /** Throw: a lazily applied cycle reached past the core's wake. */
+    [[noreturn]] void windowOverrun(Cycle now, const char *what) const;
 
     /**
      * Fill arrived for ROB sequence `seq`: mark the slot complete,
@@ -354,6 +369,8 @@ class OooCore
 
     CoreId id_;
     CoreConfig config_;
+    /// log2 of the width when it is a power of two, else -1.
+    int width_shift_ = -1;
     Cache &l1d_;
     TraceSource &trace_;
 
@@ -368,6 +385,11 @@ class OooCore
     /// still bounded by rob_capacity_, so FIFO distance never exceeds
     /// the storage span and seq & rob_mask_ cannot alias live slots.
     std::vector<RobSlot> rob_;
+    /// Per slot, the cycle the instruction's result is ready;
+    /// kNeverCycle while it is in flight. Kept apart from rob_ so that
+    /// retirement and run dispatch, which touch nothing else, walk a
+    /// dense array.
+    std::vector<Cycle> rob_done_;
     std::uint64_t rob_mask_ = 0;      ///< rob_.size() - 1.
     std::uint64_t rob_capacity_ = 0;  ///< Configured logical capacity.
     std::uint64_t rob_head_ = 0;  ///< Sequence number of oldest entry.
@@ -396,6 +418,21 @@ class OooCore
     Cycle now_ = 0;
 };
 
+inline std::uint64_t
+OooCore::runBudget() const
+{
+    std::uint64_t run = 0;
+    for (std::uint32_t i = fetch_pos_; i < fetch_end_; ++i) {
+        const TraceOp &op = fetch_ops_[i];
+        run += op.alu;
+        if (op.type == InstrType::Branch)
+            ++run;
+        else if (op.type != InstrType::Alu || op.alu == 0)
+            return run;  // A Load/Store (or a malformed empty op).
+    }
+    return run;
+}
+
 inline Cycle
 OooCore::nextWakeCycle(Cycle now) const
 {
@@ -404,24 +441,42 @@ OooCore::nextWakeCycle(Cycle now) const
     if (measurement_done_)
         return kNeverCycle;
 
-    Cycle wake = kNeverCycle;
-    if (rob_head_ != rob_tail_) {
-        const RobSlot &head = rob_[rob_head_ & rob_mask_];
-        if (head.done <= now + 1)
-            return now + 1;  // Retires next cycle.
-        if (head.done != kNeverCycle)
-            wake = head.done;  // Timed retirement resumes here.
-        // An incomplete head (kNeverCycle) is woken by its fill
-        // callback: an event.
+    const std::uint64_t occupied = rob_tail_ - rob_head_;
+    // kNeverCycle for an empty ROB or an in-flight head: nothing
+    // retires until a callback, which re-derives the wake.
+    const Cycle head_done =
+        occupied > 0 ? rob_done_[rob_head_ & rob_mask_] : kNeverCycle;
+    const bool lsq_held =
+        record_held_ && lsq_used_ >= config_.lsq_entries;
+    if (occupied >= rob_capacity_ || lsq_held) {
+        // Stalled: dispatch waits for the head's retirement (and a held
+        // memory op for a callback). A head that retires next cycle
+        // frees the ROB at once, so that core flows on below.
+        if (head_done == kNeverCycle || head_done > now + 1)
+            return head_done;
     }
 
-    // Dispatch runs every cycle unless structurally blocked; a core
-    // that can dispatch must be stepped cycle by cycle.
-    if (rob_tail_ - rob_head_ >= rob_capacity_)
-        return wake;  // ROB full: only the retirement above unblocks.
-    if (record_held_ && lsq_used_ >= config_.lsq_entries)
-        return wake;  // LSQ full: freed by a completion callback.
-    return now + 1;
+    Cycle wake = kNeverCycle;
+    if (!lsq_held) {
+        // Dispatch takes at most `width` per cycle, so it cannot reach
+        // past `reach` instructions before cycle now + 1 + reach /
+        // width. Behind an in-flight head nothing retires, so the ROB
+        // fills after its free slots: a stall edge.
+        std::uint64_t reach = runBudget();
+        if (occupied > 0 && head_done == kNeverCycle)
+            reach = std::min<std::uint64_t>(reach,
+                                            rob_capacity_ - occupied);
+        wake = now + 1 + perWidth(reach);
+    }
+    if (head_done != kNeverCycle || occupied == 0) {
+        // Retirement, at most `width` per cycle from the head's
+        // completion on, cannot reach the quota sooner.
+        const std::uint64_t left = measure_target_ - stats_.instructions;
+        const Cycle first =
+            occupied == 0 ? now + 1 : std::max(head_done, now + 1);
+        wake = std::min(wake, first + perWidth(left == 0 ? 0 : left - 1));
+    }
+    return wake;
 }
 
 inline void
@@ -434,12 +489,18 @@ OooCore::issueLoad(std::uint64_t seq, const MemAccess &access,
 inline void
 OooCore::completeLoad(std::uint64_t seq, Cycle when)
 {
-    // Fired from the event queue at cycle `when`: a lazily-skipped
-    // core first accounts the window under its pre-event block
-    // reason, exactly as per-cycle stepping would have.
-    if (when != 0)
-        syncTo(when - 1);
-    wake_dirty_ = true;
+    // Fired from the event queue at cycle `when`. The completion cycle
+    // is itself a timestamp a lazy window reads correctly, so the core
+    // syncs first (applying the window under the pre-event state) and
+    // re-derives its wake only where the event can change either: a
+    // freed LSQ entry releases a held memory op, and completing the
+    // ROB head resumes retirement. (The head cannot have moved since
+    // the wake was derived while it was in flight.)
+    if (record_held_ || seq == rob_head_) {
+        if (when != 0)
+            syncTo(when - 1);
+        wake_dirty_ = true;
+    }
     RobSlot &slot = rob_[seq & rob_mask_];
     if (slot.seq != seq)
         throw SimError("core" + std::to_string(id_), when,
@@ -447,7 +508,7 @@ OooCore::completeLoad(std::uint64_t seq, Cycle when)
                            std::to_string(seq) +
                            " found slot holding sequence " +
                            std::to_string(slot.seq));
-    slot.done = when < now_ + 1 ? now_ + 1 : when;
+    rob_done_[seq & rob_mask_] = when < now_ + 1 ? now_ + 1 : when;
     if (lsq_used_ == 0)
         throw SimError("core" + std::to_string(id_), when,
                        "load completion with no LSQ entry held");
@@ -465,11 +526,13 @@ OooCore::completeLoad(std::uint64_t seq, Cycle when)
 inline void
 OooCore::completeStore(Cycle when)
 {
-    // Account the skipped window against the pre-release block reason
-    // before freeing the LSQ slot.
-    if (when != 0)
-        syncTo(when - 1);
-    wake_dirty_ = true;
+    // Only a held memory op notices the freed LSQ slot; account the
+    // window before it against the pre-release block reason.
+    if (record_held_) {
+        if (when != 0)
+            syncTo(when - 1);
+        wake_dirty_ = true;
+    }
     if (lsq_used_ == 0)
         throw SimError("core" + std::to_string(id_), when,
                        "store completion with no LSQ entry held");

@@ -436,8 +436,19 @@ System::telemetrySnapshot() const
 }
 
 void
+System::syncCores()
+{
+    if (now_ == 0)
+        return;
+    for (auto &core : cores_)
+        core->syncTo(now_ - 1);
+}
+
+void
 System::sampleEpochIfDue()
 {
+    // The stepped loop samples before any core acts at now_.
+    syncCores();
     std::uint64_t instructions = 0;
     for (const auto &core : cores_)
         instructions += core->stats().instructions;
@@ -502,25 +513,31 @@ System::advancePhase(std::uint64_t budget)
     for (; done_cores < cores_.size() && budget > 0; --budget) {
         if (pausing && check_gate.crossed(now_)) {
             if (deadline_armed_ &&
-                std::chrono::steady_clock::now() >= deadline_)
+                std::chrono::steady_clock::now() >= deadline_) {
+                syncCores();
                 reportWatchdogExpiry();
+            }
             if (checks)
                 checkInvariants();
         }
         if (telemetry_ != nullptr && epoch_gate.crossed(now_))
             sampleEpochIfDue();
         events_.runDue(now_);
-        // Per-core lazy stepping: a core whose cached wake lies ahead
-        // and that no completion callback has touched since (its
-        // wakeDirty flag) is provably mid-stall — skip its step()
-        // entirely; it accounts the gap itself (OooCore::syncTo) when
-        // next touched. The cached wakes double as the fast-path
-        // probe: no extra nextWakeCycle() calls on working cycles.
+        // Per-core lazy stepping: a core is stepped only at its wake
+        // (OooCore::nextWakeCycle); in between it touches nothing
+        // outside its own window and catches up in bulk when next
+        // synced (OooCore::syncTo). A completion callback synced the
+        // core to now_ - 1 and flagged it: re-derive its wake from
+        // there, which may be now_ itself.
         Cycle wake = kNeverCycle;
         if (skip_enabled_) {
             for (std::size_t i = 0; i < cores_.size(); ++i) {
                 OooCore &core = *cores_[i];
-                if (core_wake_[i] > now_ && !core.wakeDirty()) {
+                if (core.wakeDirty() && now_ > 0) {
+                    core.clearWakeDirty();
+                    core_wake_[i] = core.nextWakeCycle(now_ - 1);
+                }
+                if (core_wake_[i] > now_) {
                     wake = std::min(wake, core_wake_[i]);
                     continue;
                 }
@@ -549,13 +566,12 @@ System::advancePhase(std::uint64_t budget)
         }
         // Fast-forward: the memory side is fully event-driven, so the
         // earliest cycle at which anything can happen is the minimum
-        // of the next event, each core's own next wake (timed
-        // retirements), and the DRAM's self-scheduled work. Everything
-        // strictly before that is pure stall bookkeeping, accounted
-        // lazily per core. Capping at the gate boundaries keeps the
-        // watchdog/self-check cadence and lands telemetry samples on
-        // exactly the cycles the stepped loop samples, preserving
-        // bit-identical epoch streams.
+        // of the next event, each core's own next wake, and the DRAM's
+        // self-scheduled work. Everything strictly before that is
+        // core-private work, applied lazily per core. Capping at the
+        // gate boundaries keeps the watchdog/self-check cadence and
+        // lands telemetry samples on exactly the cycles the stepped
+        // loop samples, preserving bit-identical epoch streams.
         Cycle target = std::min(wake, events_.nextEventCycle());
         target = std::min(target, dram_->nextWorkCycle(now_));
         if (pausing)
@@ -569,9 +585,9 @@ System::advancePhase(std::uint64_t budget)
         }
         // runDue(now_) drained everything at now_ and every wake/work
         // bound is strictly in the future, so target >= now_ + 1.
-        const std::uint64_t stalled = target - now_ - 1;
-        if (stalled > 0) {
-            skipped_cycles_ += stalled;
+        const std::uint64_t skipped = target - now_ - 1;
+        if (skipped > 0) {
+            skipped_cycles_ += skipped;
             now_ = target;
         } else {
             ++now_;

@@ -179,11 +179,12 @@ class System
     /**
      * Enable or disable event-driven cycle skipping. On (the default
      * unless the BINGO_NO_SKIP environment variable is set), the run
-     * loop fast-forwards through windows in which every core is
-     * provably stalled and no event is due, applying the skipped
-     * cycles' bookkeeping in bulk; results are bit-identical to the
-     * stepped loop. Off is the escape hatch for debugging and for the
-     * CI equivalence diff.
+     * loop steps each core only at its wake (OooCore::nextWakeCycle)
+     * and jumps the clock to the next wake, event or gate; cores apply
+     * the non-memory runs and stalls in between lazily. Results are
+     * bit-identical to the stepped loop. Off steps every core on every
+     * cycle: the escape hatch for debugging and for the CI
+     * equivalence diff.
      */
     void setCycleSkipping(bool enabled) { skip_enabled_ = enabled; }
 
@@ -200,7 +201,12 @@ class System
     /** Whether the fast-forward path is active. */
     bool cycleSkippingEnabled() const { return skip_enabled_; }
 
-    /** Cycles the run loop jumped over instead of stepping. */
+    /**
+     * Cycles on which the run loop did not iterate at all: no event,
+     * DRAM work, gate or core wake fell on them. Non-memory runs skip
+     * as well as stalls, so a cycle on which some core dispatched
+     * lazily still counts.
+     */
     std::uint64_t skippedCycles() const { return skipped_cycles_; }
 
   private:
@@ -245,6 +251,12 @@ class System
 
     /** True when every core has retired its measurement quota. */
     bool allMeasurementsDone() const;
+
+    /**
+     * Apply every core's lazily skipped cycles through now_ - 1, as
+     * the stepped loop has them before acting at now_.
+     */
+    void syncCores();
 
     /** Close the telemetry epoch when its boundary was crossed. */
     void sampleEpochIfDue();

@@ -1,6 +1,9 @@
 #include "telemetry/telemetry.hpp"
 
 #include <cstdlib>
+#include <stdexcept>
+
+#include "common/env.hpp"
 
 namespace bingo::telemetry
 {
@@ -24,12 +27,13 @@ Options
 optionsFromEnv()
 {
     Options options;
-    if (const char *value = std::getenv("BINGO_EPOCH_INSTRS")) {
-        char *end = nullptr;
-        unsigned long long parsed = std::strtoull(value, &end, 10);
-        if (end != value && *end == '\0' && parsed > 0)
-            options.epoch_instructions = parsed;
-    }
+    options.epoch_instructions =
+        envU64("BINGO_EPOCH_INSTRS", options.epoch_instructions);
+    // An epoch of no instructions has no boundary to sample at.
+    if (options.epoch_instructions == 0)
+        throw std::invalid_argument(
+            "BINGO_EPOCH_INSTRS=\"0\" is not a positive instruction "
+            "count");
     return options;
 }
 

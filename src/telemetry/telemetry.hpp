@@ -44,7 +44,11 @@ struct Options
     std::uint64_t epoch_instructions = 250 * 1000;
 };
 
-/** Options with BINGO_EPOCH_INSTRS applied. */
+/**
+ * Options with BINGO_EPOCH_INSTRS applied (unset or empty keeps the
+ * default). Throws std::invalid_argument naming the knob when the
+ * value is not a positive whole number.
+ */
 Options optionsFromEnv();
 
 /** Export directory: BINGO_TELEMETRY_DIR ("" = no export). */

@@ -16,6 +16,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -194,27 +195,12 @@ INSTANTIATE_TEST_SUITE_P(Prefetchers, SkipEquivalenceTest,
  * (The fast-forward path caps jumps at the epoch-check boundary so
  * samples land on the same cycles the stepped loop samples at.)
  */
-TEST(Determinism, SkipPreservesTelemetryEpochStreams)
+/** Two telemetry runs must have produced the same epoch stream. */
+void
+expectIdenticalEpochs(const System &stepped, const System &skipped)
 {
-    const auto runTelemetry = [](bool skip) {
-        SystemConfig config = SystemConfig::singleCore();
-        config.prefetcher.kind = PrefetcherKind::Bingo;
-        config.seed = 7;
-        auto system =
-            std::make_unique<System>(config, "Data Serving");
-        system->setCycleSkipping(skip);
-        telemetry::Options options;
-        options.epoch_instructions = 2000;  // Many epoch boundaries.
-        system->enableTelemetry(options);
-        system->run(10000, 20000);
-        return system;
-    };
-    const auto stepped = runTelemetry(false);
-    const auto skipped = runTelemetry(true);
-    EXPECT_GT(skipped->skippedCycles(), 0u);
-
-    const auto &a = stepped->telemetry()->epochs().records();
-    const auto &b = skipped->telemetry()->epochs().records();
+    const auto &a = stepped.telemetry()->epochs().records();
+    const auto &b = skipped.telemetry()->epochs().records();
     ASSERT_EQ(a.size(), b.size());
     ASSERT_FALSE(a.empty());
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -235,6 +221,79 @@ TEST(Determinism, SkipPreservesTelemetryEpochStreams)
             << "epoch " << i;
     }
 }
+
+TEST(Determinism, SkipPreservesTelemetryEpochStreams)
+{
+    const auto runTelemetry = [](bool skip) {
+        SystemConfig config = SystemConfig::singleCore();
+        config.prefetcher.kind = PrefetcherKind::Bingo;
+        config.seed = 7;
+        auto system =
+            std::make_unique<System>(config, "Data Serving");
+        system->setCycleSkipping(skip);
+        telemetry::Options options;
+        options.epoch_instructions = 2000;  // Many epoch boundaries.
+        system->enableTelemetry(options);
+        system->run(10000, 20000);
+        return system;
+    };
+    const auto stepped = runTelemetry(false);
+    const auto skipped = runTelemetry(true);
+    EXPECT_GT(skipped->skippedCycles(), 0u);
+    expectIdenticalEpochs(*stepped, *skipped);
+}
+
+/**
+ * The same guarantee at the two extremes of non-memory run length, on
+ * the 4-core machine: Streaming (mean run 266 instructions, long lazy
+ * dispatch windows) and Markov Chase (mean run 6.7, mostly stalls),
+ * without a prefetcher and under Bingo, telemetry on. Results, end
+ * cycles and epoch streams must match with skipping on and off.
+ */
+class MultiCoreSkipEquivalenceTest
+    : public ::testing::TestWithParam<
+          std::tuple<const char *, PrefetcherKind>>
+{
+};
+
+TEST_P(MultiCoreSkipEquivalenceTest, SkipOnMatchesSkipOffWithEpochs)
+{
+    const auto [workload, kind] = GetParam();
+    const auto runTelemetry = [&, workload = workload,
+                               kind = kind](bool skip) {
+        SystemConfig config;
+        config.prefetcher.kind = kind;
+        config.seed = 11;
+        auto system = std::make_unique<System>(config, workload);
+        system->setCycleSkipping(skip);
+        telemetry::Options options;
+        options.epoch_instructions = 8000;  // Many epoch boundaries.
+        system->enableTelemetry(options);
+        system->run(20000, 50000);
+        return system;
+    };
+    const auto stepped = runTelemetry(false);
+    const auto skipped = runTelemetry(true);
+    ASSERT_EQ(stepped->numCores(), 4u);
+    expectIdenticalResults(collectResult(*stepped, workload),
+                           collectResult(*skipped, workload));
+    EXPECT_EQ(stepped->now(), skipped->now());
+    EXPECT_EQ(stepped->skippedCycles(), 0u);
+    EXPECT_GT(skipped->skippedCycles(), 0u);
+    expectIdenticalEpochs(*stepped, *skipped);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RunLengthExtremes, MultiCoreSkipEquivalenceTest,
+    ::testing::Combine(::testing::Values("Streaming", "Markov Chase"),
+                       ::testing::Values(PrefetcherKind::None,
+                                         PrefetcherKind::Bingo)),
+    [](const auto &info) {
+        std::string name = std::string(std::get<0>(info.param)) + "_" +
+                           prefetcherName(std::get<1>(info.param));
+        std::replace(name.begin(), name.end(), ' ', '_');
+        return name;
+    });
 
 /**
  * Chaos does not weaken the reproducibility guarantee: fault draws

@@ -12,7 +12,11 @@
 #include <array>
 #include <iterator>
 #include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "core/ooo_core.hpp"
 #include "test_util.hpp"
 #include "workload/generator.hpp"
@@ -203,14 +207,41 @@ TEST_F(CoreTest, MeasurementCountsExactly)
     EXPECT_FALSE(core->measurementDone());
 }
 
-TEST_F(CoreTest, NextWakeIsNextCycleWhenDispatchable)
+TEST_F(CoreTest, NextWakeIsBatchEndForAluStream)
 {
     auto core = makeCore({});
     core->startMeasurement(100, 0);
     events_.runDue(0);
     core->step(0);
-    // ALU stream, ROB nearly empty: the core can dispatch every cycle.
-    EXPECT_EQ(core->nextWakeCycle(0), 1u);
+    // ALU stream: cycle 0 pulled a 64-instruction batch and dispatched
+    // 4 of it. The other 60 dispatch 4 a cycle over cycles 1..15, so
+    // the next pull is at cycle 16; the quota of 100 cannot retire
+    // before cycle 25. Everything in between is private to the core.
+    EXPECT_EQ(core->nextWakeCycle(0), 16u);
+}
+
+TEST_F(CoreTest, NextWakeIsQuotaRetireWhenItComesFirst)
+{
+    auto core = makeCore({});
+    core->startMeasurement(10, 0);
+    events_.runDue(0);
+    core->step(0);
+    // Ten instructions retire 4 a cycle from cycle 1: the tenth cannot
+    // retire before cycle 3, well ahead of the batch end.
+    EXPECT_EQ(core->nextWakeCycle(0), 3u);
+}
+
+TEST_F(CoreTest, NextWakeIsNextLoadDispatch)
+{
+    std::vector<TraceRecord> script(9, alu());
+    script.push_back(load(0x400, 0x1000));
+    auto core = makeCore(std::move(script));
+    core->startMeasurement(1000, 0);
+    events_.runDue(0);
+    core->step(0);
+    // Cycle 0 dispatched 4 of the 9 ALUs; cycle 1 takes 4 more and
+    // cycle 2 the last one and then the load.
+    EXPECT_EQ(core->nextWakeCycle(0), 2u);
 }
 
 TEST_F(CoreTest, NextWakeNeverOnceMeasurementDone)
@@ -274,14 +305,14 @@ TEST_F(CoreTest, FastForwardMirrorsSteppedStallWindow)
         ref_after = stepped->stats();
     }
 
-    // Same machine, but the window is applied in one fastForward.
+    // Same machine, but the window is applied in one syncTo.
     // (makeCore rebuilt the L1/source, so the first core is gone.)
     auto jumped = makeCore({}, 50, config);
     jumped->startMeasurement(100, 0);
     events_.runDue(0);
     jumped->step(0);
     ASSERT_EQ(jumped->nextWakeCycle(0), 20u);
-    jumped->fastForward(19, 19);
+    jumped->syncTo(19);
     EXPECT_EQ(jumped->stats().cycles, ref_window.cycles);
     EXPECT_EQ(jumped->stats().rob_full_cycles,
               ref_window.rob_full_cycles);
@@ -311,7 +342,7 @@ TEST_F(CoreTest, FastForwardAttributesLsqStalls)
     // by a completion callback, so the wake defers to the event queue.
     EXPECT_EQ(core->nextWakeCycle(2), kNeverCycle);
     const std::uint64_t before = core->stats().lsq_full_cycles;
-    core->fastForward(5, 7);
+    core->syncTo(7);
     EXPECT_EQ(core->stats().lsq_full_cycles, before + 5);
 }
 
@@ -480,6 +511,221 @@ TEST(CoreOpPull, OpNativeAndRecordOnlySourcesRunIdentically)
         const CoreRun b = runCore(records, 100000);
         ASSERT_GT(a.accesses.size(), 1000u);
         expectSameRun(a, b);
+    }
+}
+
+/**
+ * Random op stream for the lazy-window oracle: ALU runs of 1 to 600
+ * instructions between loads (some dependent), stores and branches,
+ * sometimes back to back. Counts the records it hands out.
+ */
+class RandomOpSource : public TraceSource
+{
+  public:
+    explicit RandomOpSource(std::uint64_t seed) : rng_(seed) {}
+
+    TraceRecord
+    next() override
+    {
+        ++pulled_;
+        if (run_left_ > 0) {
+            --run_left_;
+            return alu();
+        }
+        run_left_ = rng_.chance(0.2)
+                        ? 0
+                        : rng_.range(1, rng_.chance(0.5) ? 8 : 600);
+        const Addr addr = rng_.below(256) * kBlockSize;
+        const Addr pc = 0x400 + rng_.below(16);
+        const std::uint64_t kind = rng_.below(10);
+        if (kind < 4)
+            return load(pc, addr, rng_.chance(0.3));
+        if (kind < 6)
+            return test::store(pc, addr);
+        return TraceRecord{pc, 0, InstrType::Branch};
+    }
+
+    std::uint64_t pulled() const { return pulled_; }
+
+  private:
+    Rng rng_;
+    std::uint64_t run_left_ = 0;
+    std::uint64_t pulled_ = 0;
+};
+
+/** Memory below the L1D whose fill latency is drawn per fetch. */
+class RandomLatencyLower : public MemoryLower
+{
+  public:
+    RandomLatencyLower(EventQueue &events, std::uint64_t seed,
+                       Cycle max_latency)
+        : events_(events), rng_(seed), max_latency_(max_latency)
+    {
+    }
+
+    void
+    fetch(const MemAccess &, Cycle now, FillCallback done) override
+    {
+        const Cycle fill = now + rng_.range(1, max_latency_);
+        events_.schedule(fill, [done = std::move(done), fill] {
+            done(fill);
+        });
+    }
+
+    void writeback(Addr, CoreId, Cycle) override {}
+
+  private:
+    EventQueue &events_;
+    Rng rng_;
+    Cycle max_latency_;
+};
+
+/** Everything one core observably holds after a cycle. */
+struct CoreState
+{
+    CoreStats stats;
+    std::uint64_t rob = 0;
+    unsigned lsq = 0;
+    bool done = false;
+    Cycle completion = 0;
+    std::uint64_t pulled = 0;
+    std::size_t accesses = 0;
+
+    bool
+    operator==(const CoreState &o) const
+    {
+        return stats.instructions == o.stats.instructions &&
+               stats.loads == o.stats.loads &&
+               stats.stores == o.stats.stores &&
+               stats.branches == o.stats.branches &&
+               stats.cycles == o.stats.cycles &&
+               stats.rob_full_cycles == o.stats.rob_full_cycles &&
+               stats.lsq_full_cycles == o.stats.lsq_full_cycles &&
+               rob == o.rob && lsq == o.lsq && done == o.done &&
+               completion == o.completion && pulled == o.pulled &&
+               accesses == o.accesses;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const CoreState &s)
+{
+    return os << "instrs " << s.stats.instructions << " loads "
+              << s.stats.loads << " stores " << s.stats.stores
+              << " branches " << s.stats.branches << " cycles "
+              << s.stats.cycles << " rob_full " << s.stats.rob_full_cycles
+              << " lsq_full " << s.stats.lsq_full_cycles << " rob "
+              << s.rob << " lsq " << s.lsq << " done " << s.done
+              << " completion " << s.completion << " pulled " << s.pulled
+              << " accesses " << s.accesses;
+}
+
+/** One core with its private L1D over a random stream and memory. */
+struct RandomMachine
+{
+    RandomMachine(const CoreConfig &core_config,
+                  const CacheConfig &l1_config, std::uint64_t seed,
+                  Cycle max_fill)
+        : source(seed), lower(events, seed ^ 0x5eed, max_fill),
+          l1("L1", l1_config, events, lower),
+          core(0, core_config, l1, source)
+    {
+        l1.setAccessHook([this](const MemAccess &access, bool hit,
+                                Cycle now) {
+            accesses.push_back({access.block, access.pc, access.type,
+                                hit, now});
+        });
+    }
+
+    CoreState
+    state() const
+    {
+        return CoreState{core.stats(),          core.robOccupancy(),
+                         core.lsqOccupancy(),   core.measurementDone(),
+                         core.completionCycle(), source.pulled(),
+                         accesses.size()};
+    }
+
+    EventQueue events;
+    RandomOpSource source;
+    RandomLatencyLower lower;
+    Cache l1;
+    OooCore core;
+    std::vector<L1Access> accesses;
+};
+
+/**
+ * The lazy-window oracle: the same random machine run twice, once
+ * stepped on every cycle and once stepped only at the core's wakes,
+ * with the windows in between applied by syncTo() (directly, and by
+ * the completion callbacks). At every cycle the lazy run visits, the
+ * synced core must hold exactly the stepped core's counters, ROB and
+ * LSQ occupancy, pulled records and L1D accesses; at the end the two
+ * L1D access sequences must be identical.
+ */
+TEST(CoreLazyWindow, MatchesSteppedCoreOnRandomStreams)
+{
+    Rng pick(2024);
+    for (int trial = 0; trial < 60; ++trial) {
+        CoreConfig core_config;
+        core_config.width = static_cast<unsigned>(pick.range(1, 8));
+        core_config.rob_entries = static_cast<unsigned>(pick.range(4, 256));
+        core_config.lsq_entries = static_cast<unsigned>(pick.range(1, 64));
+        core_config.alu_latency = static_cast<unsigned>(pick.range(1, 20));
+        CacheConfig l1_config;
+        l1_config.size_bytes = 4 * 1024;
+        l1_config.ways = 4;
+        l1_config.hit_latency = static_cast<unsigned>(pick.range(1, 8));
+        l1_config.mshr_entries = static_cast<unsigned>(pick.range(1, 8));
+        const Cycle max_fill = pick.range(1, 400);
+        const std::uint64_t quota = pick.range(2000, 30000);
+        const std::uint64_t seed = pick.next();
+        SCOPED_TRACE("trial " + std::to_string(trial) + ": width " +
+                     std::to_string(core_config.width) + " rob " +
+                     std::to_string(core_config.rob_entries) + " lsq " +
+                     std::to_string(core_config.lsq_entries) +
+                     " alu_latency " +
+                     std::to_string(core_config.alu_latency));
+
+        RandomMachine stepped(core_config, l1_config, seed, max_fill);
+        stepped.core.startMeasurement(quota, 0);
+        std::vector<CoreState> reference;
+        Cycle end = kNeverCycle;
+        for (Cycle now = 0; now <= end; ++now) {
+            stepped.events.runDue(now);
+            stepped.core.step(now);
+            reference.push_back(stepped.state());
+            if (end == kNeverCycle && stepped.core.measurementDone())
+                end = now + 100;  // Let in-flight requests drain.
+            ASSERT_LT(now, quota * 1000) << "stepped core stalled";
+        }
+
+        RandomMachine lazy(core_config, l1_config, seed, max_fill);
+        lazy.core.startMeasurement(quota, 0);
+        Cycle wake = 0;
+        std::size_t visits = 0;
+        for (Cycle now = 0; now <= end;) {
+            lazy.events.runDue(now);
+            if (lazy.core.wakeDirty() && now > 0) {
+                lazy.core.clearWakeDirty();
+                wake = lazy.core.nextWakeCycle(now - 1);
+            }
+            if (wake <= now) {
+                lazy.core.clearWakeDirty();
+                lazy.core.step(now);
+                wake = lazy.core.nextWakeCycle(now);
+                ASSERT_GT(wake, now);
+            }
+            lazy.core.syncTo(now);
+            ++visits;
+            ASSERT_EQ(lazy.state(), reference[now]) << "cycle " << now;
+            now = std::max(now + 1,
+                           std::min({wake, lazy.events.nextEventCycle(),
+                                     end + 1}));
+        }
+        EXPECT_TRUE(lazy.accesses == stepped.accesses);
+        // The oracle only means something if windows were skipped.
+        EXPECT_LT(visits, reference.size());
     }
 }
 

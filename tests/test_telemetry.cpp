@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "cache/cache.hpp"
@@ -514,10 +515,17 @@ TEST(TelemetryEnvTest, Knobs)
         test::EnvVar epoch("BINGO_EPOCH_INSTRS", "12345");
         EXPECT_EQ(telemetry::optionsFromEnv().epoch_instructions, 12345u);
     }
-    {
-        test::EnvVar epoch("BINGO_EPOCH_INSTRS", "nonsense");
-        EXPECT_EQ(telemetry::optionsFromEnv().epoch_instructions,
-                  telemetry::Options{}.epoch_instructions);
+    // Malformed or zero epochs fail loudly, naming the knob.
+    for (const char *bad : {"nonsense", "abc", "5e4", "-3", "0"}) {
+        test::EnvVar epoch("BINGO_EPOCH_INSTRS", bad);
+        try {
+            telemetry::optionsFromEnv();
+            ADD_FAILURE() << "BINGO_EPOCH_INSTRS=" << bad << " accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("BINGO_EPOCH_INSTRS"),
+                      std::string::npos)
+                << e.what();
+        }
     }
     {
         test::EnvVar flag("BINGO_TELEMETRY", "0");
