@@ -1,5 +1,7 @@
 #include "cache/cache.hpp"
 
+#include <algorithm>
+#include <bitset>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -16,10 +18,11 @@ Cache::Cache(std::string name, const CacheConfig &config,
              EventQueue &events, MemoryLower &lower)
     : name_(std::move(name)), config_(config), events_(events),
       lower_(lower), num_sets_(config.numSets()),
-      blocks_(num_sets_ * config.ways),
       way_tags_(num_sets_ * config.ways, kNoTag),
-      way_lru_(num_sets_ * config.ways, 0),
-      way_rrpv_(num_sets_ * config.ways, 3),
+      way_repl_(num_sets_ * config.ways,
+                config.replacement == ReplacementKind::Lru ? kInvalidRank
+                                                           : 3),
+      way_flags_(num_sets_ * config.ways, 0),
       set_filled_(num_sets_, 0),
       mshrs_(config.mshr_entries, name_ + ".mshr")
 {
@@ -28,14 +31,43 @@ Cache::Cache(std::string name, const CacheConfig &config,
             name_ + ": size_bytes/ways must give a nonzero "
                     "power-of-two number of sets (got " +
             std::to_string(num_sets_) + ")");
+    if (config.ways > kInvalidRank)
+        throw std::invalid_argument(name_ + ": at most 255 ways (got " +
+                                    std::to_string(config.ways) + ")");
 }
 
 void
-Cache::touchBlock(std::size_t way_index)
+Cache::touchBlock(std::size_t first, std::size_t way)
 {
-    way_lru_[way_index] = ++tick_;
-    if (config_.replacement == ReplacementKind::Srrip)
-        way_rrpv_[way_index] = 0;  // Near re-reference on a hit.
+    if (config_.replacement == ReplacementKind::Lru) {
+        // Every way more recent than this one ages by a rank; invalid
+        // ways (kInvalidRank) never do. Equivalent to stamping the way
+        // with a fresh global tick: the ranks are the stamps' order,
+        // MRU first. (`ways` and `rank` are locals so the byte stores
+        // cannot alias them, which lets the loop vectorize.)
+        const unsigned ways = config_.ways;
+        std::uint8_t *rank = way_repl_.data() + first;
+        const std::uint8_t old = rank[way - first];
+        for (unsigned w = 0; w < ways; ++w)
+            rank[w] += rank[w] < old ? 1 : 0;
+        rank[way - first] = 0;
+    } else if (config_.replacement == ReplacementKind::Srrip) {
+        way_repl_[way] = 0;  // Near re-reference on a hit.
+    }
+}
+
+void
+Cache::hitBlock(std::size_t way, const MemAccess &access, Cycle now)
+{
+    touchBlock(setOf(access.block) * config_.ways, way);
+    if (way_flags_[way] & kPrefetched) {
+        way_flags_[way] &= ~kPrefetched;
+        ++stats_.useful_prefetches;
+        if (lifecycle_)
+            lifecycle_->onDemandHit(access.block, now);
+    }
+    if (access.type == AccessType::Store)
+        way_flags_[way] |= kDirty;
 }
 
 std::uint64_t
@@ -44,46 +76,29 @@ Cache::setOf(Addr block) const
     return blockNumber(block) & (num_sets_ - 1);
 }
 
-Cache::Block *
-Cache::lookup(Addr block)
+std::size_t
+Cache::lookup(Addr block) const
 {
     // Resident tags are unique per set and kNoTag never matches a
     // block address, so any hit the vector compare reports is THE hit.
     const std::uint64_t first = setOf(block) * config_.ways;
     const std::size_t w = simd::findEqual64(way_tags_.data() + first,
                                             config_.ways, block);
-    return w == simd::kNpos ? nullptr : blocks_.data() + first + w;
-}
-
-const Cache::Block *
-Cache::lookup(Addr block) const
-{
-    const std::uint64_t first = setOf(block) * config_.ways;
-    const std::size_t w = simd::findEqual64(way_tags_.data() + first,
-                                            config_.ways, block);
-    return w == simd::kNpos ? nullptr : blocks_.data() + first + w;
+    return w == simd::kNpos ? simd::kNpos : first + w;
 }
 
 bool
 Cache::contains(Addr block) const
 {
-    return lookup(block) != nullptr;
-}
-
-bool
-Cache::containsOrInFlight(Addr block)
-{
-    return contains(block) || mshrs_.find(block) != nullptr;
+    return lookup(block) != simd::kNpos;
 }
 
 std::uint64_t
 Cache::residentBlocks() const
 {
     std::uint64_t n = 0;
-    for (const Block &b : blocks_) {
-        if (b.valid)
-            ++n;
-    }
+    for (const std::uint8_t filled : set_filled_)
+        n += filled;
     return n;
 }
 
@@ -95,97 +110,80 @@ Cache::addEvictionListener(EvictionListener listener)
 
 void
 Cache::forEachResident(
-    const std::function<void(Addr block, bool dirty, CoreId core)> &fn)
-    const
+    const std::function<void(Addr block, bool dirty)> &fn) const
 {
-    for (const Block &b : blocks_) {
-        if (b.valid)
-            fn(b.tag, b.dirty, b.core);
+    for (std::size_t i = 0; i < way_tags_.size(); ++i) {
+        if (way_tags_[i] != kNoTag)
+            fn(way_tags_[i], (way_flags_[i] & kDirty) != 0);
     }
 }
 
 void
 Cache::checkInvariants(Cycle now) const
 {
+    const auto fail = [&](const std::string &what) {
+        throw SimError(name_, now, what);
+    };
     if (mshrs_.size() > mshrs_.capacity())
-        throw SimError(name_, now,
-                       "MSHR occupancy " +
-                           std::to_string(mshrs_.size()) +
-                           " exceeds capacity " +
-                           std::to_string(mshrs_.capacity()));
+        fail("MSHR occupancy " + std::to_string(mshrs_.size()) +
+             " exceeds capacity " + std::to_string(mshrs_.capacity()));
     if (prefetch_queue_.size() > config_.prefetch_queue)
-        throw SimError(name_, now,
-                       "prefetch queue holds " +
-                           std::to_string(prefetch_queue_.size()) +
-                           " entries, bound is " +
-                           std::to_string(config_.prefetch_queue));
+        fail("prefetch queue holds " +
+             std::to_string(prefetch_queue_.size()) +
+             " entries, bound is " +
+             std::to_string(config_.prefetch_queue));
 
+    const bool lru = config_.replacement == ReplacementKind::Lru;
+    const bool srrip = config_.replacement == ReplacementKind::Srrip;
     for (std::uint64_t set = 0; set < num_sets_; ++set) {
-        const Block *base = blocks_.data() + set * config_.ways;
-        const std::uint64_t *lru = way_lru_.data() + set * config_.ways;
+        const Addr *tags = way_tags_.data() + set * config_.ways;
+        const std::uint8_t *repl = way_repl_.data() + set * config_.ways;
+        std::bitset<kInvalidRank + 1> ranks;
+        unsigned filled = 0;
         for (unsigned w = 0; w < config_.ways; ++w) {
-            const Block &blk = base[w];
-            if (!blk.valid)
+            const bool valid = tags[w] != kNoTag;
+            filled += valid ? 1 : 0;
+            // LRU: valid ways hold distinct ranks below the fill count
+            // (with the fill-count check below, a permutation of
+            // 0..filled-1) and invalid ways kInvalidRank. SRRIP: every
+            // RRPV is at most 3.
+            if (lru ? (valid ? repl[w] >= set_filled_[set] ||
+                                   ranks.test(repl[w])
+                             : repl[w] != kInvalidRank)
+                    : srrip && repl[w] > 3)
+                fail(std::string(lru ? "LRU rank " : "RRPV ") +
+                     std::to_string(repl[w]) + " out of place at way " +
+                     std::to_string(w) + " of set " +
+                     std::to_string(set));
+            ranks.set(repl[w]);
+            if (!valid)
                 continue;
-            if (setOf(blk.tag) != set)
-                throw SimError(name_, now,
-                               "resident block maps to set " +
-                                   std::to_string(setOf(blk.tag)) +
-                                   " but lives in set " +
-                                   std::to_string(set));
-            if (lru[w] > tick_)
-                throw SimError(name_, now,
-                               "LRU stamp " + std::to_string(lru[w]) +
-                                   " is ahead of the recency clock " +
-                                   std::to_string(tick_));
+            if (setOf(tags[w]) != set)
+                fail("resident block maps to set " +
+                     std::to_string(setOf(tags[w])) +
+                     " but lives in set " + std::to_string(set));
             for (unsigned v = w + 1; v < config_.ways; ++v) {
-                if (base[v].valid && base[v].tag == blk.tag)
-                    throw SimError(name_, now,
-                                   "duplicate resident block in set " +
-                                       std::to_string(set));
-                if (base[v].valid && lru[v] == lru[w])
-                    throw SimError(
-                        name_, now,
-                        "two blocks of set " + std::to_string(set) +
-                            " share LRU stamp " +
-                            std::to_string(lru[w]));
+                if (tags[v] == tags[w])
+                    fail("duplicate resident block in set " +
+                         std::to_string(set));
             }
         }
-    }
-
-    for (std::size_t i = 0; i < blocks_.size(); ++i) {
-        const Addr expect = blocks_[i].valid ? blocks_[i].tag : kNoTag;
-        if (way_tags_[i] != expect)
-            throw SimError(name_, now,
-                           "way-tag mirror out of step at way index " +
-                               std::to_string(i));
-    }
-
-    for (std::uint64_t set = 0; set < num_sets_; ++set) {
-        unsigned filled = 0;
-        for (unsigned w = 0; w < config_.ways; ++w)
-            filled += blocks_[set * config_.ways + w].valid ? 1 : 0;
         if (filled != set_filled_[set])
-            throw SimError(name_, now,
-                           "set " + std::to_string(set) + " holds " +
-                               std::to_string(filled) +
-                               " valid ways but the fill counter "
-                               "says " +
-                               std::to_string(set_filled_[set]));
+            fail("set " + std::to_string(set) + " holds " +
+                 std::to_string(filled) +
+                 " valid ways but the fill counter says " +
+                 std::to_string(set_filled_[set]));
     }
 
     std::unordered_set<Addr> in_flight;
     mshrs_.forEach([&](const MshrEntry &entry) {
         if (!in_flight.insert(entry.block).second)
-            throw SimError(name_, now, "duplicate in-flight block");
+            fail("duplicate in-flight block");
         if (contains(entry.block))
-            throw SimError(name_, now,
-                           "block is both resident and in flight");
+            fail("block is both resident and in flight");
     });
     if (in_flight.size() != mshrs_.size())
-        throw SimError(name_, now,
-                       "MSHR occupancy count disagrees with live "
-                       "slots");
+        fail("MSHR occupancy count disagrees with live slots");
 
     // Drain invariant the run loop's fast-forward path relies on:
     // parked demands and queued prefetches only move when a fill
@@ -194,13 +192,9 @@ Cache::checkInvariants(Cycle now) const
     // leave the work stranded with no event to wake it.
     if ((!pending_.empty() || !prefetch_queue_.empty()) &&
         mshrs_.empty())
-        throw SimError(name_, now,
-                       "parked work (" +
-                           std::to_string(pending_.size()) +
-                           " demands, " +
-                           std::to_string(prefetch_queue_.size()) +
-                           " prefetches) with no in-flight MSHR to "
-                           "drain it");
+        fail("parked work (" + std::to_string(pending_.size()) +
+             " demands, " + std::to_string(prefetch_queue_.size()) +
+             " prefetches) with no in-flight MSHR to drain it");
 }
 
 void
@@ -211,18 +205,10 @@ Cache::access(const MemAccess &access, Cycle now, FillCallback done)
                        "prefetch presented to the demand access path");
     ++stats_.demand_accesses;
 
-    if (Block *block = lookup(access.block)) {
+    if (const std::size_t way = lookup(access.block);
+        way != simd::kNpos) {
         ++stats_.demand_hits;
-        touchBlock(static_cast<std::size_t>(block - blocks_.data()));
-        block->core = access.core;
-        if (block->prefetched) {
-            block->prefetched = false;
-            ++stats_.useful_prefetches;
-            if (lifecycle_)
-                lifecycle_->onDemandHit(access.block, now);
-        }
-        if (access.type == AccessType::Store)
-            block->dirty = true;
+        hitBlock(way, access, now);
         if (hook_)
             hook_(access, true, now);
         const Cycle ready = now + config_.hit_latency;
@@ -378,20 +364,18 @@ Cache::handleFill(std::size_t slot, Cycle fill_cycle)
     MshrEntry entry = mshrs_.releaseSlot(slot, fill_cycle);
     const Addr block = entry.block;
 
-    Block &victim = victimize(block, fill_cycle);
-    const auto way_index =
-        static_cast<std::size_t>(&victim - blocks_.data());
-    if (!victim.valid)
-        ++set_filled_[way_index / config_.ways];
-    victim.valid = true;
-    victim.tag = block;
-    way_tags_[way_index] = block;
-    victim.dirty = entry.store_merged;
-    victim.prefetched = entry.prefetch_origin && !entry.demand_merged;
-    victim.core = entry.core;
-    way_lru_[way_index] = ++tick_;
-    // SRRIP inserts at "long" re-reference (2 of 3).
-    way_rrpv_[way_index] = 2;
+    const std::size_t way = victimize(block, entry.core, fill_cycle);
+    const std::uint64_t set = setOf(block);
+    if (way_tags_[way] == kNoTag)
+        ++set_filled_[set];
+    way_tags_[way] = block;
+    way_flags_[way] =
+        (entry.store_merged ? kDirty : 0) |
+        (entry.prefetch_origin && !entry.demand_merged ? kPrefetched : 0);
+    if (config_.replacement == ReplacementKind::Srrip)
+        way_repl_[way] = 2;  // SRRIP inserts at "long" re-reference.
+    else
+        touchBlock(set * config_.ways, way);  // LRU inserts at MRU.
     if (entry.prefetch_origin) {
         ++stats_.prefetch_fills;
         if (lifecycle_)
@@ -414,19 +398,11 @@ Cache::handleFill(std::size_t slot, Cycle fill_cycle)
     // satisfied without consuming an MSHR, so keep draining until a
     // replay actually needs an entry and none is free.
     while (!pending_.empty()) {
-        if (Block *hit = lookup(pending_.front().access.block)) {
+        if (const std::size_t hit = lookup(pending_.front().access.block);
+            hit != simd::kNpos) {
             PendingFetch replay = std::move(pending_.front());
             pending_.pop_front();
-            touchBlock(static_cast<std::size_t>(hit - blocks_.data()));
-            if (hit->prefetched) {
-                hit->prefetched = false;
-                ++stats_.useful_prefetches;
-                if (lifecycle_)
-                    lifecycle_->onDemandHit(replay.access.block,
-                                            fill_cycle);
-            }
-            if (replay.access.type == AccessType::Store)
-                hit->dirty = true;
+            hitBlock(hit, replay.access, fill_cycle);
             replay.done(fill_cycle);
             continue;
         }
@@ -456,76 +432,68 @@ Cache::handleFill(std::size_t slot, Cycle fill_cycle)
     drainPrefetchQueue(fill_cycle);
 }
 
-Cache::Block &
-Cache::victimize(Addr block, Cycle now)
+std::size_t
+Cache::victimize(Addr block, CoreId core, Cycle now)
 {
     const std::uint64_t set = setOf(block);
     const std::size_t first = set * config_.ways;
-    Block *base = blocks_.data() + first;
-    Block *victim = nullptr;
     // Fill order: any invalid way first (sets never un-fill, so the
-    // counter lets the steady state skip the scan entirely); the
-    // first kNoTag match is the same way the Block-by-Block scan
-    // would pick.
+    // counter lets the steady state skip the scan entirely).
     if (set_filled_[set] < config_.ways) {
         const std::size_t invalid_way =
             simd::findEqual64(way_tags_.data() + first, config_.ways,
                               kNoTag);
         if (invalid_way != simd::kNpos)
-            victim = base + invalid_way;
+            return first + invalid_way;
     }
-    if (victim == nullptr) {
-        switch (config_.replacement) {
-          case ReplacementKind::Lru: {
-            const std::uint64_t *lru = way_lru_.data() + first;
-            unsigned best = 0;
-            for (unsigned w = 1; w < config_.ways; ++w) {
-                if (lru[w] < lru[best])
-                    best = w;
+    std::size_t victim = first;
+    switch (config_.replacement) {
+      case ReplacementKind::Lru: {
+        // The set is full, so its ranks are 0..ways-1: the highest
+        // is the least recently used way.
+        const std::uint8_t *rank = way_repl_.data() + first;
+        victim += static_cast<std::size_t>(
+            std::max_element(rank, rank + config_.ways) - rank);
+        break;
+      }
+      case ReplacementKind::Srrip: {
+        // Find a distant (rrpv==3) block, aging the set until one
+        // appears.
+        std::uint8_t *rrpv = way_repl_.data() + first;
+        for (;;) {
+            const std::uint8_t *distant =
+                std::find(rrpv, rrpv + config_.ways, 3);
+            if (distant != rrpv + config_.ways) {
+                victim += static_cast<std::size_t>(distant - rrpv);
+                break;
             }
-            victim = base + best;
-            break;
-          }
-          case ReplacementKind::Srrip: {
-            // Find a distant (rrpv==3) block, aging the set until one
-            // appears.
-            std::uint8_t *rrpv = way_rrpv_.data() + first;
-            while (victim == nullptr) {
-                for (unsigned w = 0; w < config_.ways; ++w) {
-                    if (rrpv[w] >= 3) {
-                        victim = base + w;
-                        break;
-                    }
-                }
-                if (victim == nullptr) {
-                    for (unsigned w = 0; w < config_.ways; ++w)
-                        ++rrpv[w];
-                }
-            }
-            break;
-          }
-          case ReplacementKind::Random:
-            // xorshift64 victim pick.
-            victim_rng_ ^= victim_rng_ << 13;
-            victim_rng_ ^= victim_rng_ >> 7;
-            victim_rng_ ^= victim_rng_ << 17;
-            victim = base + victim_rng_ % config_.ways;
-            break;
+            for (unsigned w = 0; w < config_.ways; ++w)
+                ++rrpv[w];
         }
-        ++stats_.evictions;
-        if (victim->prefetched) {
-            ++stats_.useless_prefetches;
-            if (lifecycle_)
-                lifecycle_->onEvictUnused(victim->tag);
-        }
-        if (victim->dirty) {
-            ++stats_.writebacks;
-            lower_.writeback(victim->tag, victim->core, now);
-        }
-        for (EvictionListener &listener : eviction_listeners_)
-            listener(victim->tag);
+        break;
+      }
+      case ReplacementKind::Random:
+        // xorshift64 victim pick.
+        victim_rng_ ^= victim_rng_ << 13;
+        victim_rng_ ^= victim_rng_ >> 7;
+        victim_rng_ ^= victim_rng_ << 17;
+        victim += victim_rng_ % config_.ways;
+        break;
     }
-    return *victim;
+    const Addr tag = way_tags_[victim];
+    ++stats_.evictions;
+    if (way_flags_[victim] & kPrefetched) {
+        ++stats_.useless_prefetches;
+        if (lifecycle_)
+            lifecycle_->onEvictUnused(tag);
+    }
+    if (way_flags_[victim] & kDirty) {
+        ++stats_.writebacks;
+        lower_.writeback(tag, core, now);
+    }
+    for (EvictionListener &listener : eviction_listeners_)
+        listener(tag);
+    return victim;
 }
 
 void
@@ -583,9 +551,8 @@ DramLower::fetch(const MemAccess &access, Cycle now, FillCallback done)
 }
 
 void
-DramLower::writeback(Addr block, CoreId core, Cycle now)
+DramLower::writeback(Addr block, CoreId, Cycle now)
 {
-    (void)core;
     dram_.write(block, now);
 }
 
@@ -596,11 +563,8 @@ CacheLower::fetch(const MemAccess &access, Cycle now, FillCallback done)
 }
 
 void
-CacheLower::writeback(Addr block, CoreId core, Cycle now)
+CacheLower::writeback(Addr, CoreId, Cycle)
 {
-    (void)core;
-    (void)now;
-    (void)block;
     // Dirty data written back from the L1 either updates the LLC copy
     // in place (zero-cost in this timing model) or, when the LLC no
     // longer holds the block, is forwarded to memory by the LLC's own

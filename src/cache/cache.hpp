@@ -62,7 +62,11 @@ class MemoryLower
     virtual void fetch(const MemAccess &access, Cycle now,
                        FillCallback done) = 0;
 
-    /** Write back a dirty block (nothing waits on it). */
+    /**
+     * Write back a dirty block (nothing waits on it). `core` is the
+     * core whose fill evicted the block, not the block's last writer:
+     * the cache keeps no per-block owner.
+     */
     virtual void writeback(Addr block, CoreId core, Cycle now) = 0;
 };
 
@@ -163,9 +167,6 @@ class Cache
     /** Whether `block` is currently resident. */
     bool contains(Addr block) const;
 
-    /** Whether `block` is resident or being fetched. */
-    bool containsOrInFlight(Addr block);
-
     void setAccessHook(AccessHook hook) { hook_ = std::move(hook); }
     void setMshrPressureHook(MshrPressureHook hook)
     {
@@ -175,12 +176,11 @@ class Cache
 
     /**
      * Visit every resident block (valid lines only) with its dirty
-     * flag and last-toucher core. Cold path: used by the shadow-model
-     * cross-check and diagnostics.
+     * flag. Cold path: used by the shadow-model cross-check and
+     * diagnostics.
      */
     void forEachResident(
-        const std::function<void(Addr block, bool dirty, CoreId core)>
-            &fn) const;
+        const std::function<void(Addr block, bool dirty)> &fn) const;
 
     /**
      * Attach a prefetch lifecycle tracker (telemetry). Null detaches;
@@ -205,8 +205,9 @@ class Cache
     /**
      * Structural self-check (the BINGO_CHECK layer): MSHR occupancy
      * within capacity and disjoint from the resident set, every valid
-     * block mapped to its set with a unique tag and a sane recency
-     * stamp, prefetch queue within bounds. Throws SimError tagged with
+     * block mapped to its set with a unique tag, replacement state
+     * well formed (LRU ranks a permutation, RRPVs at most 3), prefetch
+     * queue within bounds. Throws SimError tagged with
      * this cache's name and `now` on the first violation.
      */
     void checkInvariants(Cycle now) const;
@@ -215,19 +216,6 @@ class Cache
     /// The typed completion record dispatches CacheFill completions
     /// straight into handleFill().
     friend class Completion;
-
-    struct Block
-    {
-        bool valid = false;
-        bool dirty = false;
-        bool prefetched = false;  ///< Filled by prefetch, unused so far.
-        Addr tag = 0;             ///< Full block address.
-        CoreId core = 0;          ///< Last toucher (for writeback path).
-        // Replacement state (LRU stamp, RRPV) lives in the way_lru_ /
-        // way_rrpv_ SoA arrays: victim selection scans a whole set of
-        // it on every fill, and packed arrays keep that scan inside
-        // two cache lines instead of striding through Block records.
-    };
 
     struct PendingFetch
     {
@@ -250,11 +238,18 @@ class Cache
     void drainPrefetchQueue(Cycle now);
 
     std::uint64_t setOf(Addr block) const;
-    Block *lookup(Addr block);
 
-    /** Recency bookkeeping on a hit/fill, per the configured policy. */
-    void touchBlock(std::size_t way_index);
-    const Block *lookup(Addr block) const;
+    /** Global way index of resident `block`, or simd::kNpos. */
+    std::size_t lookup(Addr block) const;
+
+    /**
+     * Recency bookkeeping on a hit, per the configured policy; also
+     * the LRU fill. `first` is the global index of the set's way 0.
+     */
+    void touchBlock(std::size_t first, std::size_t way);
+
+    /** Demand hit on resident `way`: recency, usefulness, dirtiness. */
+    void hitBlock(std::size_t way, const MemAccess &access, Cycle now);
 
     /**
      * Start the lower-level fetch for an allocated MSHR entry.
@@ -267,8 +262,11 @@ class Cache
     /** Install the fill for MSHR `slot` and drain its callbacks. */
     void handleFill(std::size_t slot, Cycle fill_cycle);
 
-    /** Pick a victim way and evict it if valid. */
-    Block &victimize(Addr block, Cycle now);
+    /**
+     * Pick a victim way for `block` (global index) and evict it if
+     * valid; a dirty victim is written back on behalf of `core`.
+     */
+    std::size_t victimize(Addr block, CoreId core, Cycle now);
 
     std::string name_;
     CacheConfig config_;
@@ -277,19 +275,27 @@ class Cache
     /// way_tags_ sentinel for an invalid way: odd, so it can never
     /// equal a block-aligned address.
     static constexpr Addr kNoTag = 1;
+    /// LRU rank of an invalid way (ranks of valid ways are below the
+    /// 255-way bound validate() enforces).
+    static constexpr std::uint8_t kInvalidRank = 255;
+    /// way_flags_ bits.
+    static constexpr std::uint8_t kDirty = 1;
+    static constexpr std::uint8_t kPrefetched = 2;  ///< Not demanded yet.
 
     std::uint64_t num_sets_;
-    std::vector<Block> blocks_;
-    /// blocks_[i].tag mirrored densely (kNoTag while invalid): the way
-    /// scan in lookup() runs on every access and touches only tags, so
-    /// packing them 8 per cache line beats striding through the ~40-
-    /// byte Block records. handleFill() is the only writer of
-    /// valid/tag and keeps the mirror in step.
+    // Per-way state, 10 bytes a way in three packed arrays indexed by
+    // set * ways + way. The lookup scan reads only tags, the victim
+    // scan only replacement bytes, so each stays in one or two host
+    // cache lines per set.
+    /// The block address held by each way; kNoTag while invalid. A way
+    /// is valid exactly when its tag is not kNoTag.
     std::vector<Addr> way_tags_;
-    /// Per-way recency stamps and RRPVs, packed like way_tags_ so the
-    /// victim scan (and SRRIP aging) stays in a few cache lines.
-    std::vector<std::uint64_t> way_lru_;
-    std::vector<std::uint8_t> way_rrpv_;
+    /// One replacement byte per way, read only by its policy. LRU: the
+    /// way's recency rank within its set, 0 = MRU, kInvalidRank while
+    /// invalid. SRRIP: the RRPV, 0..3. Random: unused.
+    std::vector<std::uint8_t> way_repl_;
+    /// kDirty | kPrefetched per way.
+    std::vector<std::uint8_t> way_flags_;
     /// Valid ways per set. Blocks are never invalidated, so once a
     /// set fills this saturates at `ways` and victimize() skips the
     /// invalid-way scan for good.
@@ -302,7 +308,6 @@ class Cache
     MshrPressureHook mshr_pressure_hook_;
     telemetry::PrefetchLifecycle *lifecycle_ = nullptr;
     std::vector<EvictionListener> eviction_listeners_;
-    std::uint64_t tick_ = 0;
     std::uint64_t victim_rng_ = 0x9e3779b97f4a7c15ULL;
 };
 

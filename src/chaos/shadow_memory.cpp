@@ -27,8 +27,7 @@ void
 ShadowMemory::verifyPrivate(const Cache &cache, CoreId core,
                             Cycle now) const
 {
-    cache.forEachResident([&](Addr block, bool dirty, CoreId owner) {
-        (void)owner;
+    cache.forEachResident([&](Addr block, bool dirty) {
         if (dirty && !writtenBy(block, core))
             throw SimError(
                 "shadow", now,
@@ -42,8 +41,7 @@ ShadowMemory::verifyPrivate(const Cache &cache, CoreId core,
 void
 ShadowMemory::verifyShared(const Cache &cache, Cycle now) const
 {
-    cache.forEachResident([&](Addr block, bool dirty, CoreId owner) {
-        (void)owner;
+    cache.forEachResident([&](Addr block, bool dirty) {
         if (dirty && !writtenAny(block))
             throw SimError(
                 "shadow", now,

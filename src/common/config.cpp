@@ -51,6 +51,10 @@ void
 validateCache(const std::string &prefix, const CacheConfig &cache)
 {
     requireNonzero(prefix + ".ways", cache.ways);
+    // The cache keeps per-set fill counts and LRU ranks in one byte.
+    if (cache.ways > 255)
+        reject(prefix + ".ways",
+               "must be at most 255, got " + std::to_string(cache.ways));
     requireNonzero(prefix + ".size_bytes", cache.size_bytes);
     requireNonzero(prefix + ".hit_latency", cache.hit_latency);
     requireNonzero(prefix + ".mshr_entries", cache.mshr_entries);

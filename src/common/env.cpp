@@ -28,6 +28,27 @@ malformed(const char *name, const char *value, const char *expected)
                                 "\" is not " + expected);
 }
 
+/**
+ * Knob `name` as a finite number in [lo, hi]: `fallback` when unset or
+ * empty; throws naming `expected` otherwise.
+ */
+double
+envDouble(const char *name, double fallback, double lo, double hi,
+          const char *expected)
+{
+    const char *value = envValue(name);
+    if (value == nullptr)
+        return fallback;
+    const std::string_view text(value);
+    double parsed = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), parsed);
+    if (ec != std::errc{} || ptr != text.data() + text.size() ||
+        !std::isfinite(parsed) || parsed < lo || parsed > hi)
+        malformed(name, value, expected);
+    return parsed;
+}
+
 } // namespace
 
 bool
@@ -57,17 +78,15 @@ envU64(const char *name, std::uint64_t fallback)
 double
 envSeconds(const char *name, double fallback)
 {
-    const char *value = envValue(name);
-    if (value == nullptr)
-        return fallback;
-    const std::string_view text(value);
-    double parsed = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), parsed);
-    if (ec != std::errc{} || ptr != text.data() + text.size() ||
-        !std::isfinite(parsed) || parsed < 0.0)
-        malformed(name, value, "a non-negative number of seconds");
-    return parsed;
+    return envDouble(name, fallback, 0.0, HUGE_VAL,
+                     "a non-negative number of seconds");
+}
+
+double
+envFraction(const char *name, double fallback)
+{
+    return envDouble(name, fallback, 0.0, 1.0,
+                     "a fraction in [0, 1]");
 }
 
 } // namespace bingo

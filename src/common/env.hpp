@@ -38,6 +38,13 @@ std::uint64_t envU64(const char *name, std::uint64_t fallback);
  */
 double envSeconds(const char *name, double fallback);
 
+/**
+ * Fraction knob `name` (e.g. `0.15`): `fallback` when unset or empty.
+ * Throws std::invalid_argument when the value is not a whole number
+ * within [0, 1].
+ */
+double envFraction(const char *name, double fallback);
+
 } // namespace bingo
 
 #endif // BINGO_COMMON_ENV_HPP

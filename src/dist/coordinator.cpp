@@ -89,7 +89,7 @@ struct Slot
 {
     WorkerProc proc;
     Clock::time_point respawn_at{};
-    bool exhausted = false;  ///< Respawn budget spent.
+    bool exhausted = false;  ///< Respawn budget spent, or refused.
 };
 
 constexpr std::size_t kNoItem = static_cast<std::size_t>(-1);
@@ -350,9 +350,12 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
         slot.proc.last_heard = Clock::now();
         switch (frame.type) {
         case MsgType::Hello: {
+            // Another protocol version: never dispatch to it, and never
+            // respawn it (a respawn runs the same binary). The health
+            // check below retires it.
             WireHello hello;
-            if (decodeHello(frame.payload, hello))
-                slot.proc.said_hello = true;
+            slot.proc.said_hello = decodeHello(frame.payload, hello);
+            slot.exhausted = !slot.proc.said_hello;
             break;
         }
         case MsgType::Heartbeat: {
@@ -476,6 +479,10 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
         for (Slot &slot : slots) {
             if (!slot.proc.alive())
                 continue;
+            if (slot.exhausted) {
+                workerDied(slot, "protocol version mismatch");
+                continue;
+            }
             const double silent =
                 std::chrono::duration<double>(now -
                                               slot.proc.last_heard)
@@ -560,7 +567,6 @@ runSweepDistributed(const std::vector<SweepJob> &jobs,
             wire.lease = ++next->lease;
             wire.fingerprint = next->fingerprint;
             wire.job = jobOf(*next);
-            wire.baseline = next->baseline;
             if (!slot.proc.link ||
                 !slot.proc.link->send(MsgType::Job, encodeJob(wire))) {
                 workerDied(slot, "send failed");

@@ -61,7 +61,7 @@ encodeJob(const WireJob &wire)
     const SystemConfig &cfg = wire.job.config;
     const PrefetcherConfig &pf = cfg.prefetcher;
     std::ostringstream out;
-    out << "job 2\n";
+    out << "job 3\n";
     out << "index " << wire.index << '\n';
     out << "lease " << wire.lease << '\n';
     out << "fingerprint " << wire.fingerprint << '\n';
@@ -72,7 +72,6 @@ encodeJob(const WireJob &wire)
         << wire.job.options.measure_instructions << ' '
         << wire.job.options.seed << ' '
         << (wire.job.compare_baseline ? 1 : 0) << '\n';
-    out << "baseline " << (wire.baseline ? 1 : 0) << '\n';
     out << "system " << cfg.num_cores << ' '
         << doubleBits(cfg.frequency_ghz) << ' ' << cfg.seed << '\n';
     out << "core " << cfg.core.width << ' ' << cfg.core.rob_entries
@@ -129,7 +128,7 @@ decodeJob(const std::string &payload, WireJob &out)
 {
     std::istringstream in(payload);
     unsigned version = 0;
-    if (!expect(in, "job") || !(in >> version) || version != 2)
+    if (!expect(in, "job") || !(in >> version) || version != 3)
         return false;
 
     WireJob wire;
@@ -150,10 +149,6 @@ decodeJob(const std::string &payload, WireJob &out)
           wire.job.options.seed >> compare_baseline))
         return false;
     wire.job.compare_baseline = compare_baseline != 0;
-    unsigned baseline = 0;
-    if (!expect(in, "baseline") || !(in >> baseline))
-        return false;
-    wire.baseline = baseline != 0;
 
     std::uint64_t frequency_bits = 0;
     if (!expect(in, "system") ||
@@ -305,7 +300,7 @@ std::string
 encodeHello(const WireHello &hello)
 {
     std::ostringstream out;
-    out << "hello 1 " << hello.pid << ' ' << hello.slot << '\n';
+    out << "hello 2 " << hello.pid << ' ' << hello.slot << '\n';
     return out.str();
 }
 
@@ -315,7 +310,7 @@ decodeHello(const std::string &payload, WireHello &out)
     std::istringstream in(payload);
     unsigned version = 0;
     WireHello hello;
-    if (!expect(in, "hello") || !(in >> version) || version != 1 ||
+    if (!expect(in, "hello") || !(in >> version) || version != 2 ||
         !(in >> hello.pid >> hello.slot))
         return false;
     out = hello;

@@ -76,11 +76,6 @@ struct WireJob
     std::uint64_t lease = 0;       ///< Dispatch epoch; echoed in result.
     std::string fingerprint;       ///< jobFingerprint(job), precomputed.
     SweepJob job;
-    /// Baseline warm, not a sweep job. The worker runs both alike; the
-    /// coordinator never logs a baseline's record but journals it
-    /// itself (exactly once, like the in-process baselineFor), keeping
-    /// the merged journal byte-identical to a single-process run.
-    bool baseline = false;
 };
 
 /** `result` payload: everything the coordinator needs back. */
@@ -105,7 +100,11 @@ bool decodeJob(const std::string &payload, WireJob &out);
 std::string encodeResult(const WireResult &result);
 bool decodeResult(const std::string &payload, WireResult &out);
 
-/** `hello` payload. */
+/**
+ * `hello` payload. Its version (2) names the whole message set: a
+ * worker built against another `job` layout says another version, and
+ * the coordinator retires it without dispatching to it.
+ */
 struct WireHello
 {
     std::uint64_t pid = 0;

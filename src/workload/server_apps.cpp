@@ -1,7 +1,6 @@
 #include "workload/server_apps.hpp"
 
-#include <cstdlib>
-
+#include "common/env.hpp"
 #include "common/hash.hpp"
 #include "workload/patterns.hpp"
 
@@ -39,7 +38,8 @@ class Em3dApp : public BurstSource
   public:
     Em3dApp(Addr base, Addr peer_base, std::uint64_t seed)
         : BurstSource(seed), base_(base), peer_base_(peer_base),
-          pc_tag_(mix64(base) & 0xf000)
+          pc_tag_(mix64(base) & 0xf000),
+          remote_fraction_(envFraction("BINGO_EM3D_REMOTE", 0.015))
     {
     }
 
@@ -57,19 +57,6 @@ class Em3dApp : public BurstSource
             static_cast<unsigned>(kBlockSize);
         constexpr unsigned degree = 2;
         constexpr std::uint64_t span_nodes = 5;
-        // Olden's "15% remote" counts edges outside the span — but in
-        // the fixed graph those edges recur every iteration and the
-        // paper's SimFlex checkpoints warm the prediction tables over
-        // tens of simulated seconds, so remote-touched regions' sparse
-        // footprints are learned. Our windows are far shorter and our
-        // remote draw is memoryless, so each far touch is permanently
-        // unlearnable; an effective rate of 1.5% reproduces the
-        // paper's observable em3d behaviour (~93% coverage, largest
-        // speedup of the suite, visible overprediction). See DESIGN.md.
-        // Override with BINGO_EM3D_REMOTE to explore.
-        const char *rf_env = std::getenv("BINGO_EM3D_REMOTE");
-        const double remote_fraction =
-            rf_env ? std::atof(rf_env) : 0.015;
 
         const Addr pc_base = 0x700000 + pc_tag_;
         const Addr node_addr = base_ + node_ * node_bytes;
@@ -81,7 +68,7 @@ class Em3dApp : public BurstSource
 
         for (unsigned d = 0; d < degree; ++d) {
             std::uint64_t neighbor_node;
-            if (rng_.chance(remote_fraction)) {
+            if (rng_.chance(remote_fraction_)) {
                 neighbor_node = rng_.below(num_nodes);
             } else {
                 const std::uint64_t lo =
@@ -110,6 +97,18 @@ class Em3dApp : public BurstSource
     Addr base_;
     Addr peer_base_;
     Addr pc_tag_;
+    // Share of neighbors drawn anywhere in the graph. Olden's "15%
+    // remote" counts edges outside the span — but in the fixed graph
+    // those edges recur every iteration and the paper's SimFlex
+    // checkpoints warm the prediction tables over tens of simulated
+    // seconds, so remote-touched regions' sparse footprints are
+    // learned. Our windows are far shorter and our remote draw is
+    // memoryless, so each far touch is permanently unlearnable; an
+    // effective rate of 1.5% reproduces the paper's observable em3d
+    // behaviour (~93% coverage, largest speedup of the suite, visible
+    // overprediction). See DESIGN.md. Override with BINGO_EM3D_REMOTE
+    // to explore; it is read once, when the generator is built.
+    double remote_fraction_;
     std::uint64_t node_ = 0;
 };
 

@@ -37,6 +37,7 @@
 #include "dist/manifest.hpp"
 #include "dist/protocol.hpp"
 #include "dist/supervisor.hpp"
+#include "dist/transport.hpp"
 #include "sim/experiment.hpp"
 #include "sim/journal.hpp"
 #include "test_util.hpp"
@@ -52,8 +53,10 @@ using test::TempDir;
 using dist::WireHello;
 using dist::WireJob;
 using dist::WireResult;
+using dist::decodeHello;
 using dist::decodeJob;
 using dist::decodeResult;
+using dist::encodeHello;
 using dist::encodeJob;
 using dist::encodeResult;
 using dist::workerBinaryPath;
@@ -161,7 +164,6 @@ TEST(DistProtocol, JobRoundTripsEveryConfigFieldBitExactly)
     wire.index = 17;
     wire.job.workload = "Data Serving";  // Name contains a space.
     wire.job.compare_baseline = true;
-    wire.baseline = false;
     wire.job.options.warmup_instructions = 123;
     wire.job.options.measure_instructions = 456;
     wire.job.options.seed = 99;
@@ -187,7 +189,6 @@ TEST(DistProtocol, JobRoundTripsEveryConfigFieldBitExactly)
     EXPECT_EQ(decoded.fingerprint, wire.fingerprint);
     EXPECT_EQ(decoded.job.workload, wire.job.workload);
     EXPECT_EQ(decoded.job.compare_baseline, true);
-    EXPECT_EQ(decoded.baseline, false);
 
     // The drift guard: the fingerprint recomputed from the decoded job
     // must equal the one computed from the original. This is the
@@ -195,6 +196,12 @@ TEST(DistProtocol, JobRoundTripsEveryConfigFieldBitExactly)
     // fingerprint but forgotten in the wire format.
     EXPECT_EQ(jobFingerprint(decoded.job), wire.fingerprint);
     EXPECT_EQ(encodeJob(decoded), encodeJob(wire));
+
+    // Version 2 jobs carried a `baseline` line; this layout is 3.
+    std::string old_layout = encodeJob(wire);
+    ASSERT_EQ(old_layout.rfind("job 3\n", 0), 0u);
+    old_layout.replace(0, 6, "job 2\n");
+    EXPECT_FALSE(decodeJob(old_layout, decoded));
 }
 
 TEST(DistProtocol, ResultRoundTripsAndRejectsGarbage)
@@ -228,6 +235,25 @@ TEST(DistProtocol, ResultRoundTripsAndRejectsGarbage)
         encodeResult(result).substr(0, 20), reject));
     WireJob wrong_kind;
     EXPECT_FALSE(decodeJob(encodeResult(result), wrong_kind));
+}
+
+TEST(DistProtocol, HelloRoundTripsAndRefusesOtherVersions)
+{
+    WireHello hello;
+    hello.pid = 4242;
+    hello.slot = 3;
+    ASSERT_EQ(encodeHello(hello), "hello 2 4242 3\n");
+    WireHello decoded;
+    ASSERT_TRUE(decodeHello(encodeHello(hello), decoded));
+    EXPECT_EQ(decoded.pid, hello.pid);
+    EXPECT_EQ(decoded.slot, hello.slot);
+
+    // Version 1 workers encoded a `baseline` line in every job: they
+    // are refused at the handshake, before any job reaches them.
+    WireHello stale;
+    EXPECT_FALSE(decodeHello("hello 1 4242 3\n", stale));
+    EXPECT_FALSE(decodeHello("hello 3 4242 3\n", stale));
+    EXPECT_FALSE(decodeHello("", stale));
 }
 
 TEST(DistProtocol, WorkerBinaryIsFoundNextToTheBuildTree)
@@ -566,6 +592,52 @@ TEST(DistHosts, StdioWorkersCommitThroughTheCoordinatorLog)
     EXPECT_EQ(dirContents(dist.path()), dirContents(reference.path()));
     EXPECT_FALSE(
         std::filesystem::exists(journalShardRoot(dist.path())));
+}
+
+TEST(DistHosts, StaleProtocolWorkerIsRefusedOnceAndTheSweepRunsInProcess)
+{
+    const std::vector<SweepJob> jobs = smallSweep();
+    TempDir reference("stale_ref");
+    runReference(jobs, reference.path());
+
+    // A version-1 worker: one well-framed `hello 1`, then silence
+    // until the coordinator closes its stdin.
+    TempDir worker_dir("stale_worker");
+    std::filesystem::create_directories(worker_dir.path());
+    const std::string frame_path = worker_dir.path() + "/hello.bin";
+    {
+        int unused[2];
+        ASSERT_EQ(::pipe(unused), 0);
+        ::close(unused[1]);
+        const int out = ::open(frame_path.c_str(),
+                               O_WRONLY | O_CREAT | O_TRUNC, 0644);
+        ASSERT_GE(out, 0);
+        dist::FramedLink link(unused[0], out);
+        ASSERT_TRUE(
+            link.send(dist::MsgType::Hello, "hello 1 4242 0\n"));
+    }
+    // The launcher's own arguments land in the inner shell's $0, $1...
+    // (and `;` separates host templates, hence `&&`).
+    const std::string stale =
+        "sh -c 'cat \"" + frame_path + "\" && cat >/dev/null' stale";
+
+    TempDir run("stale_run");
+    EnvVar journal("BINGO_JOURNAL_DIR", run.path());
+    EnvVar hosts("BINGO_DIST_HOSTS", stale + ";" + stale);
+    std::vector<JobOutcome> outcomes(jobs.size());
+    std::vector<std::size_t> pending = {0, 1, 2, 3};
+    dist::DistReport report;
+    ASSERT_TRUE(
+        dist::runSweepDistributed(jobs, pending, outcomes, 0, &report));
+    for (std::size_t i = 0; i < outcomes.size(); ++i)
+        EXPECT_EQ(outcomes[i].status, JobStatus::Ok) << "job " << i;
+    // Each slot is retired at its hello and never respawned: a respawn
+    // would run the same stale binary.
+    EXPECT_GT(report.workers_spawned, 0u);
+    EXPECT_EQ(report.workers_lost, report.workers_spawned);
+    EXPECT_EQ(report.reconnects, 0u);
+    EXPECT_EQ(report.fallback_jobs, jobs.size());
+    EXPECT_EQ(dirContents(run.path()), dirContents(reference.path()));
 }
 
 // --- Transport chaos. Deterministic fault injection on the real byte

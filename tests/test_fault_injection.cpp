@@ -537,6 +537,19 @@ TEST(ConfigValidate, NamesTheOffendingField)
                   [](SystemConfig &c) { c.frequency_ghz = -4.0; });
     expectRejects("SystemConfig.l1d.ways",
                   [](SystemConfig &c) { c.l1d.ways = 0; });
+    // The cache's per-set fill counter and LRU ranks are one byte: a
+    // 256th way once passed validation and tripped checkInvariants
+    // after 256 fills.
+    expectRejects("SystemConfig.l1d.ways", [](SystemConfig &c) {
+        c.l1d.size_bytes = 16 * 1024;  // One set.
+        c.l1d.ways = 256;
+    });
+    expectRejects("SystemConfig.llc.ways",
+                  [](SystemConfig &c) { c.llc.ways = 512; });
+    SystemConfig widest;
+    widest.l1d.size_bytes = 255 * kBlockSize;  // One set of 255 ways.
+    widest.l1d.ways = 255;
+    EXPECT_NO_THROW(widest.validate());
     expectRejects("SystemConfig.l1d.mshr_entries",
                   [](SystemConfig &c) { c.l1d.mshr_entries = 0; });
     expectRejects("SystemConfig.llc.size_bytes", [](SystemConfig &c) {

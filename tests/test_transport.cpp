@@ -119,14 +119,14 @@ TEST(Transport, FramesRoundTripOverAPipePair)
     // Back-to-back frames, multi-line and empty payloads included,
     // arrive whole at a poll-driven (non-blocking) end.
     LinkPair pair = makePair();
-    ASSERT_TRUE(pair.sender->send(MsgType::Hello, "hello 1 42 7\n"));
+    ASSERT_TRUE(pair.sender->send(MsgType::Hello, "hello 2 42 7\n"));
     ASSERT_TRUE(pair.sender->send(MsgType::Job, "payload\nwith\nlines"));
     ASSERT_TRUE(pair.sender->send(MsgType::Shutdown, ""));
 
     const std::vector<Frame> frames = drain(*pair.receiver, 3);
     ASSERT_EQ(frames.size(), 3u);
     EXPECT_EQ(frames[0].type, MsgType::Hello);
-    EXPECT_EQ(frames[0].payload, "hello 1 42 7\n");
+    EXPECT_EQ(frames[0].payload, "hello 2 42 7\n");
     EXPECT_EQ(frames[1].type, MsgType::Job);
     EXPECT_EQ(frames[1].payload, "payload\nwith\nlines");
     EXPECT_EQ(frames[2].type, MsgType::Shutdown);

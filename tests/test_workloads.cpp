@@ -17,6 +17,7 @@
 #include "workload/patterns.hpp"
 #include "workload/server_apps.hpp"
 #include "workload/spec_kernels.hpp"
+#include "test_util.hpp"
 
 namespace bingo
 {
@@ -303,6 +304,38 @@ TEST(Workloads, StreamsMatchGoldenDigests)
     EXPECT_EQ(golden.size(), names.size() * 4 * 2);
     if (!all_match)
         std::printf("Computed digests:\n%s", table.c_str());
+}
+
+TEST(Workloads, Em3dRemoteKnobIsReadOnceAndStrictly)
+{
+    constexpr std::size_t kInstructions = std::size_t{1} << 14;
+    auto plain = makeWorkload("em3d", 0, 42);
+    const std::uint64_t unset = streamDigest(*plain, kInstructions);
+    {
+        test::EnvVar remote("BINGO_EM3D_REMOTE", "0.015");
+        auto same = makeWorkload("em3d", 0, 42);
+        EXPECT_EQ(streamDigest(*same, kInstructions), unset);
+    }
+    {
+        // Read at construction: setting the knob afterwards changes
+        // nothing, and a value set before does change the stream.
+        auto before = makeWorkload("em3d", 0, 42);
+        test::EnvVar remote("BINGO_EM3D_REMOTE", "0.5");
+        EXPECT_EQ(streamDigest(*before, kInstructions), unset);
+        auto after = makeWorkload("em3d", 0, 42);
+        EXPECT_NE(streamDigest(*after, kInstructions), unset);
+    }
+    for (const char *junk : {"abc", "0.5x", "1.5", "-0.1", "nan"}) {
+        test::EnvVar remote("BINGO_EM3D_REMOTE", junk);
+        try {
+            makeWorkload("em3d", 0, 42);
+            FAIL() << junk << " must not parse as a remote fraction";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("BINGO_EM3D_REMOTE"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(RecordClasses, TriggerSharedPerSite)
