@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/sim_check.hpp"
-#include "common/simd.hpp"
 
 namespace bingo
 {
@@ -30,6 +29,17 @@ checkOffset(unsigned offset, unsigned width)
     }
 }
 
+/** A region of `width` blocks must fit one 64-bit word. */
+void
+checkWidth(const char *what, unsigned width)
+{
+    if (width < 1 || width > 64) {
+        throw std::invalid_argument(std::string(what) +
+                                    " width must be in [1, 64], got " +
+                                    std::to_string(width));
+    }
+}
+
 void
 checkSameWidth(unsigned a, unsigned b)
 {
@@ -45,11 +55,7 @@ checkSameWidth(unsigned a, unsigned b)
 Footprint::Footprint(unsigned width)
     : width_(width)
 {
-    if (width < 1 || width > 64) {
-        throw std::invalid_argument(
-            "Footprint width must be in [1, 64], got " +
-            std::to_string(width));
-    }
+    checkWidth("Footprint", width);
 }
 
 void
@@ -128,36 +134,20 @@ Footprint::toString() const
     return out;
 }
 
-Footprint
-Footprint::unionOf(const std::uint64_t *raws, std::size_t count,
-                   unsigned width)
-{
-    return fromRaw(simd::orReduce(raws, count), width);
-}
-
-Footprint
-Footprint::intersectOf(const std::uint64_t *raws, std::size_t count,
-                       unsigned width)
-{
-    return fromRaw(simd::andReduce(raws, count), width);
-}
-
-std::uint64_t
-Footprint::totalCount(const std::uint64_t *raws, std::size_t count)
-{
-    return simd::popcountSum(raws, count);
-}
-
 FootprintVote::FootprintVote(unsigned width)
-    : counts_(width, 0), width_(width)
+    : width_(width)
 {
+    checkWidth("FootprintVote", width);
 }
 
 void
 FootprintVote::add(const Footprint &fp)
 {
     checkSameWidth(fp.width(), width_);
-    simd::voteAdd(counts_.data(), fp.raw(), width_);
+    // Visit only the marked blocks: a branch per block would
+    // mispredict on about half of a footprint's bits.
+    for (std::uint64_t bits = fp.raw(); bits != 0; bits &= bits - 1)
+        ++counts_[std::countr_zero(bits)];
     ++voters_;
 }
 
@@ -169,11 +159,12 @@ FootprintVote::resolve(double threshold) const
         return result;
     const auto needed = static_cast<unsigned>(
         std::ceil(threshold * static_cast<double>(voters_)));
-    const unsigned min_votes = needed == 0 ? 1 : needed;
-    return Footprint::fromRaw(
-        simd::voteResolve(counts_.data(), width_,
-                          static_cast<std::uint16_t>(min_votes)),
-        width_);
+    const auto min_votes =
+        static_cast<std::uint16_t>(needed == 0 ? 1 : needed);
+    std::uint64_t bits = 0;
+    for (unsigned i = 0; i < width_; ++i)
+        bits |= std::uint64_t{counts_[i] >= min_votes} << i;
+    return Footprint::fromRaw(bits, width_);
 }
 
 } // namespace bingo

@@ -12,6 +12,7 @@
 #ifndef BINGO_COMMON_FOOTPRINT_HPP
 #define BINGO_COMMON_FOOTPRINT_HPP
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -77,27 +78,6 @@ class Footprint
     /** Render as a 0/1 string, block 0 first (debugging aid). */
     std::string toString() const;
 
-    /*
-     * Batch operations over candidate sets, as packed raw words
-     * (LSB = block 0, one word per footprint, all of width `width`).
-     * These run through the SIMD dispatch layer and are bit-identical
-     * to folding the scalar operators.
-     */
-
-    /** Union of `count` raw footprints (empty when count is 0). */
-    static Footprint unionOf(const std::uint64_t *raws,
-                             std::size_t count,
-                             unsigned width = kBlocksPerRegion);
-
-    /** Intersection of `count` raw footprints (full when count is 0). */
-    static Footprint intersectOf(const std::uint64_t *raws,
-                                 std::size_t count,
-                                 unsigned width = kBlocksPerRegion);
-
-    /** Total marked blocks across `count` raw footprints. */
-    static std::uint64_t totalCount(const std::uint64_t *raws,
-                                    std::size_t count);
-
   private:
     std::uint64_t bits_ = 0;
     unsigned width_;
@@ -126,7 +106,9 @@ class FootprintVote
     Footprint resolve(double threshold) const;
 
   private:
-    std::vector<std::uint16_t> counts_;
+    /// One counter per block; the region width caps it at 64. Fixed
+    /// size, so a lookup's vote allocates nothing.
+    std::array<std::uint16_t, 64> counts_{};
     unsigned voters_ = 0;
     unsigned width_;
 };

@@ -1,6 +1,7 @@
 #include "common/simd.hpp"
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 
 #ifdef BINGO_SIMD_X86
@@ -102,114 +103,6 @@ findEqual64Avx2(const std::uint64_t *values, std::size_t count,
             return i;
     }
     return kNpos;
-}
-
-namespace
-{
-
-/**
- * Compress the even bits of a 32-bit movemask_epi8 result (two mask
- * bits per 16-bit lane) down to one bit per lane.
- */
-inline std::uint32_t
-compressEvenBits(std::uint32_t m)
-{
-    m &= 0x55555555u;
-    m = (m | (m >> 1)) & 0x33333333u;
-    m = (m | (m >> 2)) & 0x0F0F0F0Fu;
-    m = (m | (m >> 4)) & 0x00FF00FFu;
-    m = (m | (m >> 8)) & 0x0000FFFFu;
-    return m;
-}
-
-} // namespace
-
-__attribute__((target("avx2"))) void
-voteAddAvx2(std::uint16_t *counts, std::uint64_t bits, unsigned width)
-{
-    // Per 16-lane chunk: broadcast the matching 16 bits, AND with the
-    // per-lane bit {1, 2, 4, ..., 0x8000}, compare equal -> 0xFFFF
-    // (-1) in lanes whose bit is set, and subtract to increment.
-    const __m256i lane_bits = _mm256_setr_epi16(
-        1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096,
-        8192, 16384, static_cast<short>(32768));
-    unsigned i = 0;
-    for (; i + 16 <= width; i += 16) {
-        const auto chunk = static_cast<short>((bits >> i) & 0xFFFF);
-        const __m256i sel = _mm256_and_si256(
-            _mm256_set1_epi16(chunk), lane_bits);
-        const __m256i hit = _mm256_cmpeq_epi16(sel, lane_bits);
-        __m256i c = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(counts + i));
-        c = _mm256_sub_epi16(c, hit);
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(counts + i),
-                            c);
-    }
-    for (; i < width; ++i) {
-        if ((bits >> i) & 1)
-            ++counts[i];
-    }
-}
-
-__attribute__((target("avx2"))) std::uint64_t
-voteResolveAvx2(const std::uint16_t *counts, unsigned width,
-                std::uint16_t min_votes)
-{
-    // Unsigned 16-bit >= via max: max(c, min) == c <=> c >= min.
-    const __m256i vmin =
-        _mm256_set1_epi16(static_cast<short>(min_votes));
-    std::uint64_t bits = 0;
-    unsigned i = 0;
-    for (; i + 16 <= width; i += 16) {
-        const __m256i c = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(counts + i));
-        const __m256i ge =
-            _mm256_cmpeq_epi16(_mm256_max_epu16(c, vmin), c);
-        const auto m = static_cast<std::uint32_t>(
-            _mm256_movemask_epi8(ge));
-        bits |= static_cast<std::uint64_t>(compressEvenBits(m)) << i;
-    }
-    for (; i < width; ++i) {
-        if (counts[i] >= min_votes)
-            bits |= 1ULL << i;
-    }
-    return bits;
-}
-
-__attribute__((target("avx2"))) std::uint64_t
-orReduceAvx2(const std::uint64_t *words, std::size_t count)
-{
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 4 <= count; i += 4) {
-        acc = _mm256_or_si256(
-            acc, _mm256_loadu_si256(
-                     reinterpret_cast<const __m256i *>(words + i)));
-    }
-    alignas(32) std::uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    std::uint64_t result = lanes[0] | lanes[1] | lanes[2] | lanes[3];
-    for (; i < count; ++i)
-        result |= words[i];
-    return result;
-}
-
-__attribute__((target("avx2"))) std::uint64_t
-andReduceAvx2(const std::uint64_t *words, std::size_t count)
-{
-    __m256i acc = _mm256_set1_epi64x(-1);
-    std::size_t i = 0;
-    for (; i + 4 <= count; i += 4) {
-        acc = _mm256_and_si256(
-            acc, _mm256_loadu_si256(
-                     reinterpret_cast<const __m256i *>(words + i)));
-    }
-    alignas(32) std::uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i *>(lanes), acc);
-    std::uint64_t result = lanes[0] & lanes[1] & lanes[2] & lanes[3];
-    for (; i < count; ++i)
-        result &= words[i];
-    return result;
 }
 
 #endif // BINGO_SIMD_X86

@@ -10,14 +10,10 @@
  * scalar oracle and setLevel() lets tests/benches pin a level
  * explicitly.
  *
- * The kernels cover the three structure families the profiles blame:
- *
- *  - 64-bit equality scans (cache way tags, set-associative table
- *    tags, MSHR block keys): findEqual64 / equalMask64;
- *  - footprint voting (per-block popularity counters and the
- *    threshold cut): voteAdd / voteResolve;
- *  - batch footprint reductions (union / intersection / popcount over
- *    candidate sets): orReduce / andReduce / popcountSum.
+ * The kernels are the 64-bit equality scans behind cache way tags,
+ * set-associative table tags and MSHR block keys: findEqual64 /
+ * equalMask64. The footprint vote (FootprintVote) is a plain loop
+ * over at most 64 block counters and needs no kernel.
  *
  * Dispatch is deliberately inline: call sites scan 8-16 way sets, so
  * an outlined dispatcher would cost as much as the scan itself. Each
@@ -30,7 +26,6 @@
 #define BINGO_COMMON_SIMD_HPP
 
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -84,14 +79,6 @@ std::size_t findEqual64Avx2(const std::uint64_t *values,
                             std::size_t count, std::uint64_t key);
 std::uint64_t equalMask64Avx2(const std::uint64_t *values,
                               std::size_t count, std::uint64_t key);
-void voteAddAvx2(std::uint16_t *counts, std::uint64_t bits,
-                 unsigned width);
-std::uint64_t voteResolveAvx2(const std::uint16_t *counts,
-                              unsigned width, std::uint16_t min_votes);
-std::uint64_t orReduceAvx2(const std::uint64_t *words,
-                           std::size_t count);
-std::uint64_t andReduceAvx2(const std::uint64_t *words,
-                            std::size_t count);
 #endif
 
 inline bool
@@ -143,88 +130,6 @@ equalMask64(const std::uint64_t *values, std::size_t count,
             mask |= 1ULL << i;
     }
     return mask;
-}
-
-/**
- * Footprint vote tally: counts[i] += bit i of `bits`, for i in
- * [0, width). `width` must be <= 64.
- */
-inline void
-voteAdd(std::uint16_t *counts, std::uint64_t bits, unsigned width)
-{
-#ifdef BINGO_SIMD_X86
-    if (detail::useAvx2()) {
-        detail::voteAddAvx2(counts, bits, width);
-        return;
-    }
-#endif
-    for (unsigned i = 0; i < width; ++i) {
-        if ((bits >> i) & 1)
-            ++counts[i];
-    }
-}
-
-/**
- * Footprint vote cut: bit i of the result is set where
- * counts[i] >= min_votes, for i in [0, width). `width` must be <= 64.
- */
-inline std::uint64_t
-voteResolve(const std::uint16_t *counts, unsigned width,
-            std::uint16_t min_votes)
-{
-#ifdef BINGO_SIMD_X86
-    if (detail::useAvx2())
-        return detail::voteResolveAvx2(counts, width, min_votes);
-#endif
-    std::uint64_t bits = 0;
-    for (unsigned i = 0; i < width; ++i) {
-        if (counts[i] >= min_votes)
-            bits |= 1ULL << i;
-    }
-    return bits;
-}
-
-/** OR-reduction over `count` raw footprint words (0 when empty). */
-inline std::uint64_t
-orReduce(const std::uint64_t *words, std::size_t count)
-{
-#ifdef BINGO_SIMD_X86
-    if (detail::useAvx2())
-        return detail::orReduceAvx2(words, count);
-#endif
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < count; ++i)
-        acc |= words[i];
-    return acc;
-}
-
-/** AND-reduction over `count` words (~0 when empty). */
-inline std::uint64_t
-andReduce(const std::uint64_t *words, std::size_t count)
-{
-#ifdef BINGO_SIMD_X86
-    if (detail::useAvx2())
-        return detail::andReduceAvx2(words, count);
-#endif
-    std::uint64_t acc = ~0ULL;
-    for (std::size_t i = 0; i < count; ++i)
-        acc &= words[i];
-    return acc;
-}
-
-/**
- * Sum of popcounts over `count` words. popcount over a word is a
- * single instruction wherever the build enables it and the loop
- * vectorizes poorly without AVX-512 VPOPCNTDQ, so the scalar loop is
- * the fast path on every level.
- */
-inline std::uint64_t
-popcountSum(const std::uint64_t *words, std::size_t count)
-{
-    std::uint64_t sum = 0;
-    for (std::size_t i = 0; i < count; ++i)
-        sum += static_cast<std::uint64_t>(std::popcount(words[i]));
-    return sum;
 }
 
 } // namespace bingo::simd

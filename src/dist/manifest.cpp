@@ -111,30 +111,30 @@ manifestStore(const std::string &journal_dir,
     }
 }
 
-bool
-manifestLoad(const std::string &journal_dir, std::vector<SweepJob> &out)
+ManifestLoad
+manifestLoad(const std::string &path, std::vector<SweepJob> &out)
 {
-    std::ifstream in(manifestPath(journal_dir), std::ios::binary);
+    std::ifstream in(path, std::ios::binary);
     if (!in)
-        return false;
+        return ManifestLoad::Unreadable;
     std::ostringstream text;
     text << in.rdbuf();
-    return decodeManifest(text.str(), out);
+    return decodeManifest(text.str(), out) ? ManifestLoad::Ok
+                                           : ManifestLoad::Undecodable;
 }
 
 int
 runManifestSweep(const std::string &manifest_path)
 {
-    std::ifstream in(manifest_path, std::ios::binary);
-    if (!in) {
+    std::vector<SweepJob> jobs;
+    switch (manifestLoad(manifest_path, jobs)) {
+      case ManifestLoad::Ok:
+        break;
+      case ManifestLoad::Unreadable:
         std::fprintf(stderr, "bingo_worker: cannot read manifest %s\n",
                      manifest_path.c_str());
         return 64;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    std::vector<SweepJob> jobs;
-    if (!decodeManifest(text.str(), jobs)) {
+      case ManifestLoad::Undecodable:
         std::fprintf(stderr,
                      "bingo_worker: undecodable sweep manifest %s\n",
                      manifest_path.c_str());

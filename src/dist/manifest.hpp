@@ -54,9 +54,21 @@ std::string manifestPath(const std::string &journal_dir);
 void manifestStore(const std::string &journal_dir,
                    const std::vector<SweepJob> &jobs);
 
-/** Load `<journal_dir>/manifest.sweep`; false if absent/undecodable. */
-bool manifestLoad(const std::string &journal_dir,
-                  std::vector<SweepJob> &out);
+/** What manifestLoad found at a manifest path. */
+enum class ManifestLoad
+{
+    Ok,
+    Unreadable,   ///< Absent, or cannot be opened.
+    Undecodable,  ///< Truncated, garbled, or another format version.
+};
+
+/**
+ * Read and decode the manifest file at `path` (usually
+ * manifestPath(journal_dir)) into `out`. The one manifest reader:
+ * runManifestSweep resumes through it.
+ */
+ManifestLoad manifestLoad(const std::string &path,
+                          std::vector<SweepJob> &out);
 
 /**
  * `bingo_worker --sweep <manifest>` entry point: run the manifest's

@@ -8,10 +8,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -280,145 +280,6 @@ runJobWithRetries(const SweepJob &job, std::size_t index,
 }
 
 /**
- * Drive `members` (indices into `jobs`) as one lockstep batch on the
- * calling worker thread: every member's System is constructed up
- * front, then the batch round-robins advance() slices until all
- * complete. Members share a trace stream (the caller groups them by
- * stream identity), so they walk one shared trace-cache buffer
- * nearly in step — each generated slice is consumed by the whole
- * batch while it is hot in the host's caches instead of being
- * re-walked cold per run.
- *
- * One member's failure never poisons its batchmates: the member is
- * dropped from the lockstep and re-run solo through the normal retry
- * path afterwards (simulation is deterministic, so the solo rerun
- * reproduces exactly what the lockstep run would have produced).
- */
-void
-runBatchLockstep(
-    const std::vector<SweepJob> &jobs,
-    const std::vector<std::size_t> &members,
-    const std::function<void(std::size_t, System &)> &collect,
-    std::vector<JobOutcome> &outcomes)
-{
-    struct Member
-    {
-        std::size_t index = 0;
-        std::unique_ptr<System> system;
-        std::chrono::steady_clock::time_point start;
-    };
-
-    const double timeout_s = sweepJobTimeoutSeconds();
-    std::vector<Member> live;
-    live.reserve(members.size());
-    std::vector<std::size_t> solo;  ///< Members to re-run alone.
-
-    for (std::size_t index : members) {
-        if (sweepInterrupted()) {
-            outcomes[index].status = JobStatus::Failed;
-            outcomes[index].attempts = 0;
-            outcomes[index].error =
-                "sweep interrupted by signal before this job started "
-                "(journaled jobs are kept; re-run to resume)";
-            continue;
-        }
-        const SweepJob &job = jobs[index];
-        Member m;
-        m.index = index;
-        m.start = std::chrono::steady_clock::now();
-        try {
-            m.system = std::make_unique<System>(
-                resolvedConfig(job.config, job.options.seed),
-                job.workload);
-            if (telemetry::requested())
-                m.system->enableTelemetry(telemetry::optionsFromEnv());
-            if (timeout_s > 0.0) {
-                // The batch shares one worker thread, so a member's
-                // wall-clock budget must cover its batchmates' slices
-                // too.
-                m.system->setDeadline(
-                    std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(
-                            timeout_s *
-                            static_cast<double>(members.size()))));
-            }
-            m.system->beginRun(job.options.warmup_instructions,
-                               job.options.measure_instructions);
-            live.push_back(std::move(m));
-        } catch (...) {
-            solo.push_back(index);
-        }
-    }
-
-    // Round-robin advance() slices until every member completes. The
-    // slice length trades lockstep tightness against per-slice
-    // switching cost. The shared buffer retains the whole stream, so
-    // members never miss it however far apart they drift; staying
-    // close keeps the slice a leader just generated hot in the host's
-    // caches for the rest. 8192 iterations keeps members within a
-    // couple of trace-cache commit slices of each other while the
-    // resumed-loop overhead stays well under a percent. Note batching
-    // trades trace-stream bandwidth for simulator-state footprint —
-    // see EXPERIMENTS.md for the regime where each side wins.
-    constexpr std::uint64_t kSliceIterations = 8192;
-    std::size_t running = live.size();
-    while (running > 0) {
-        for (Member &m : live) {
-            if (m.system == nullptr)
-                continue;
-            const SweepJob &job = jobs[m.index];
-            bool finished = false;
-            try {
-                finished = m.system->advance(kSliceIterations);
-            } catch (const std::exception &e) {
-                maybeExportTelemetry(job, *m.system, e.what());
-                solo.push_back(m.index);
-                m.system.reset();
-                --running;
-                continue;
-            } catch (...) {
-                maybeExportTelemetry(job, *m.system,
-                                     "unknown exception");
-                solo.push_back(m.index);
-                m.system.reset();
-                --running;
-                continue;
-            }
-            if (!finished)
-                continue;
-            System &system = *m.system;
-            g_completed_runs.fetch_add(1, std::memory_order_relaxed);
-            g_simulated_cycles.fetch_add(system.now(),
-                                         std::memory_order_relaxed);
-            collect(m.index, system);
-            maybeExportTelemetry(job, system, std::string());
-            JobOutcome &outcome = outcomes[m.index];
-            if (system.anyQuarantined()) {
-                outcome.status = JobStatus::Degraded;
-                outcome.error = system.quarantineReport();
-            } else {
-                outcome.status = JobStatus::Ok;
-                outcome.error.clear();
-            }
-            outcome.attempts = 1;
-            outcome.exception = nullptr;
-            outcome.wall_seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - m.start)
-                    .count();
-            m.system.reset();
-            --running;
-        }
-    }
-
-    for (std::size_t index : solo)
-        outcomes[index] = runJobWithRetries(jobs[index], index, collect,
-                                            {}, /*planned_read=*/false);
-}
-
-/**
  * Shared sweep engine: run the jobs selected by `indices` (indices
  * into `jobs`, preserving the caller's numbering for collect/hook/
  * outcomes) plus the deduplicated baselines they request.
@@ -501,54 +362,13 @@ runIndexed(const std::vector<SweepJob> &jobs,
         }
     };
 
-    // Batch formation: group jobs that share a trace stream identity
-    // — exactly the baseline key (workload, warmup, measure, seed) —
-    // and chunk each group into lockstep units of BINGO_BATCH. A
-    // fault hook pins the sweep to singleton units: the hook's
-    // (index, attempt) contract assumes each job starts on its own
-    // runJobWithRetries call.
-    const unsigned batch = fault_hook ? 1 : sweepBatchSize();
-    std::vector<std::vector<std::size_t>> units;
-    if (batch <= 1) {
-        units.reserve(indices.size());
-        for (std::size_t i : indices)
-            units.push_back({i});
-    } else {
-        std::map<std::string, std::vector<std::size_t>> groups;
-        std::vector<std::string> order;  ///< First-seen group order.
-        for (std::size_t i : indices) {
-            auto [it, inserted] = groups.try_emplace(
-                baselineKey(jobs[i].workload, jobs[i].options));
-            if (inserted)
-                order.push_back(it->first);
-            it->second.push_back(i);
-        }
-        for (const std::string &key : order) {
-            const std::vector<std::size_t> &group = groups[key];
-            for (std::size_t pos = 0; pos < group.size();
-                 pos += batch) {
-                const std::size_t end =
-                    std::min(pos + batch, group.size());
-                units.emplace_back(group.begin() + pos,
-                                   group.begin() + end);
-            }
-        }
-    }
-    const auto runUnit = [&](const std::vector<std::size_t> &unit) {
-        if (unit.size() == 1) {
-            runOne(unit[0]);
-            return;
-        }
-        runBatchLockstep(jobs, unit, collect, outcomes);
-    };
-
     const unsigned threads =
         num_threads > 0 ? num_threads : sweepJobCount();
     if (threads <= 1) {
         for (std::size_t i : baseline_of)
             warmOne(i);
-        for (const auto &unit : units)
-            runUnit(unit);
+        for (std::size_t i : indices)
+            runOne(i);
         return;
     }
 
@@ -557,8 +377,8 @@ runIndexed(const std::vector<SweepJob> &jobs,
     // compare_baseline, so get them onto the workers before the bulk.
     for (std::size_t i : baseline_of)
         pool.submit([&warmOne, i] { warmOne(i); });
-    for (const auto &unit : units)
-        pool.submit([&runUnit, &unit] { runUnit(unit); });
+    for (std::size_t i : indices)
+        pool.submit([&runOne, i] { runOne(i); });
     pool.wait();
 }
 
@@ -768,11 +588,15 @@ sweepJobCount()
 unsigned
 sweepBatchSize()
 {
-    const std::uint64_t requested = envU64("BINGO_BATCH", 1);
-    if (requested <= 1)
-        return 1;
-    return static_cast<unsigned>(
-        std::min<std::uint64_t>(requested, 64));
+    const char *value = std::getenv("BINGO_BATCH");
+    if (value != nullptr && *value != '\0' &&
+        std::string_view(value) != "1") {
+        throw std::invalid_argument(
+            std::string("BINGO_BATCH=") + value +
+            ": lockstep batching was removed; every sweep job runs "
+            "on its own (unset BINGO_BATCH)");
+    }
+    return 1;
 }
 
 unsigned
@@ -823,6 +647,7 @@ runSweepSystemsOutcomes(
     const std::function<void(std::size_t, System &)> &collect,
     unsigned num_threads, const SweepFaultHook &fault_hook)
 {
+    (void)sweepBatchSize();
     std::vector<JobOutcome> outcomes(jobs.size());
     std::vector<std::size_t> indices(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i)
@@ -871,6 +696,7 @@ runSweepOutcomes(const std::vector<SweepJob> &jobs,
     // it mid-sweep.
     (void)sweepRetries();
     (void)sweepJobTimeoutSeconds();
+    (void)sweepBatchSize();
 
     // Distributed dispatch is transparent: BINGO_DIST_WORKERS=N (local
     // worker processes) or BINGO_DIST_HOSTS (stdio workers launched

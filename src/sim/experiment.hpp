@@ -105,16 +105,12 @@ struct SweepJob
 unsigned sweepJobCount();
 
 /**
- * Lockstep batch width: BINGO_BATCH (default 1, clamped to [1, 64]).
- * When greater than one, each sweep worker drives up to this many
- * Systems that share a trace stream — same (workload, seed, warmup,
- * measure) — in round-robin advance() slices instead of running them
- * back to back. The members replay the shared trace-cache buffers
- * nearly in step, so each generated chunk is consumed by the whole
- * batch while it is hot. Results and journals are bit-identical to
- * BINGO_BATCH=1 (each System is still an isolated machine driven
- * through the same state transitions). Read fresh on every sweep, so
- * tests can flip it with setenv.
+ * Guard for the removed BINGO_BATCH knob: always 1, the only way a
+ * sweep runs (one System per job, run() to completion). Throws
+ * std::invalid_argument naming BINGO_BATCH when it is set to anything
+ * but empty or `1`, so a script written for the removed lockstep
+ * scheduler fails instead of silently running without it. The sweep
+ * entry points read it on the calling thread before any job starts.
  */
 unsigned sweepBatchSize();
 

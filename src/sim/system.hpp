@@ -73,9 +73,8 @@ class System
      * advance() — run() is exactly beginRun() followed by advance()
      * to completion, and the phase machinery walks identical state
      * transitions however the advance() calls are sliced, so results
-     * are bit-identical to a monolithic run(). This is what lets the
-     * batched sweep runner interleave several Systems on one worker
-     * thread (sim/experiment.hpp, BINGO_BATCH).
+     * are bit-identical to a monolithic run(). It is the substrate
+     * for pausing a run between slices (e.g. sampled simulation).
      */
     void beginRun(std::uint64_t warmup_instructions,
                   std::uint64_t measure_instructions);

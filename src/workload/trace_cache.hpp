@@ -341,10 +341,9 @@ class TraceReadPlan
  * While alive, acquires on the calling thread are outside every
  * TraceReadPlan: they neither use up a planned reader nor stream as
  * the last one. A plan counts one System per job, so a job's rebuild
- * (a retry, or the solo rerun of a faulted batch member) reads inside
- * this scope; otherwise it would use up a reader counted for another
- * job, and that job's acquire would regenerate and retain the whole
- * stream.
+ * (a retry) reads inside this scope; otherwise it would use up a
+ * reader counted for another job, and that job's acquire would
+ * regenerate and retain the whole stream.
  */
 class UnplannedTraceReads
 {

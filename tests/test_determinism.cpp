@@ -9,9 +9,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -19,8 +16,6 @@
 #include <tuple>
 #include <utility>
 #include <vector>
-
-#include <unistd.h>
 
 #include "chaos/chaos.hpp"
 #include "common/simd.hpp"
@@ -36,6 +31,7 @@
 #include "prefetch/stride.hpp"
 #include "prefetch/vldp.hpp"
 #include "sim/experiment.hpp"
+#include "sim/journal.hpp"
 #include "sim/metrics.hpp"
 #include "sim/system.hpp"
 #include "test_util.hpp"
@@ -555,166 +551,71 @@ TEST(SpecKernels, PerlbenchRevisitsLbmStreams)
               2.0 * hottestRegionShare("lbm"));
 }
 
-// --- Batched lockstep sweeps (BINGO_BATCH) -----------------------------
+// --- Sliced runs (System::beginRun / advance) ------------------------
 
-using test::EnvVar;
-using test::TempDir;
-
-/**
- * Six jobs sharing one trace stream — same workload, seed, warmup and
- * measure — differing only by prefetcher, so BINGO_BATCH > 1 groups
- * them into lockstep units.
- */
-std::vector<SweepJob>
-batchableJobs()
+/** Drive `system` through beginRun() and advance(k) calls to the end. */
+std::uint64_t
+runSliced(System &system, std::uint64_t warmup, std::uint64_t measure,
+          std::uint64_t k)
 {
-    const PrefetcherKind kinds[] = {
-        PrefetcherKind::None, PrefetcherKind::Stride,
-        PrefetcherKind::NextLine, PrefetcherKind::Bop,
-        PrefetcherKind::Sms, PrefetcherKind::Bingo};
-    std::vector<SweepJob> jobs;
-    for (const PrefetcherKind kind : kinds) {
-        SweepJob job;
-        job.workload = "Data Serving";
-        job.config = SystemConfig::singleCore();
-        job.config.prefetcher.kind = kind;
-        job.options.warmup_instructions = 2000;
-        job.options.measure_instructions = 5000;
-        job.options.seed = 42;
-        jobs.push_back(job);
-    }
-    return jobs;
-}
-
-/** Filename -> full contents of every journal record in `dir`. */
-std::map<std::string, std::string>
-journalSnapshot(const std::string &dir)
-{
-    std::map<std::string, std::string> files;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir)) {
-        std::ifstream in(entry.path(), std::ios::binary);
-        std::string contents(
-            (std::istreambuf_iterator<char>(in)),
-            std::istreambuf_iterator<char>());
-        files.emplace(entry.path().filename().string(),
-                      std::move(contents));
-    }
-    return files;
+    system.beginRun(warmup, measure);
+    std::uint64_t calls = 1;
+    while (!system.advance(k))
+        ++calls;
+    EXPECT_TRUE(system.runDone());
+    // Once done, further calls are no-ops that keep returning true.
+    EXPECT_TRUE(system.advance(k));
+    return calls;
 }
 
 /**
- * One journaled sweep of the batchable jobs at the given batch width
- * and worker count; returns the byte-exact journal it produced.
+ * run() is beginRun() followed by advance() to completion, and the
+ * phase machinery must walk the same state transitions however the
+ * advance() calls are sliced. Oracle: a monolithic run() of the
+ * four-core Table I machine under chaos against the same run sliced
+ * into 1-, 7- and 8192-iteration advance() calls. Every run crosses
+ * the warmup→measure boundary, and every slice width cuts a phase
+ * mid-way.
  */
-std::map<std::string, std::string>
-journaledSweep(unsigned batch, unsigned num_threads)
+TEST(SlicedRun, AdvanceSlicesMatchMonolithicRun)
 {
-    const TempDir dir("batch" + std::to_string(batch) + "x" +
-                      std::to_string(num_threads));
-    const EnvVar journal_env("BINGO_JOURNAL_DIR", dir.path());
-    const EnvVar batch_env("BINGO_BATCH", std::to_string(batch));
-    const std::vector<SweepJob> jobs = batchableJobs();
-    const std::vector<JobOutcome> outcomes =
-        runSweepOutcomes(jobs, num_threads);
-    for (const JobOutcome &outcome : outcomes)
-        EXPECT_TRUE(outcome.ok()) << outcome.error;
-    return journalSnapshot(dir.path());
-}
+    constexpr std::uint64_t kWarmup = 60000;
+    constexpr std::uint64_t kMeasure = 20000;
+    SystemConfig config;
+    ASSERT_GT(config.num_cores, 1u);
+    config.prefetcher.kind = PrefetcherKind::Bingo;
+    config.seed = 7;
+    config.chaos.enabled = true;
+    config.chaos.seed = 99;
+    config.chaos.rate = 0.002;
+    config.chaos.site_mask = 0x1F;
+    const std::string workload = "Data Serving";
 
-/**
- * The batched sweep's bit-identity oracle: journals are byte-for-byte
- * identical across every BINGO_BATCH width — each batch member is an
- * isolated machine driven through exactly the state transitions a
- * solo run() performs, only interleaved on the worker thread.
- */
-TEST(BatchedDeterminism, JournalsIdenticalAcrossBatchWidths)
-{
-    const auto reference = journaledSweep(1, 1);
-    // One record per job plus manifest.sweep (itself a pure function
-    // of the job list, so it participates in the byte-compare below).
-    ASSERT_EQ(reference.size(), batchableJobs().size() + 1);
-    ASSERT_EQ(reference.count("manifest.sweep"), 1u);
-    for (const unsigned batch : {2u, 4u, 8u}) {
-        EXPECT_EQ(reference, journaledSweep(batch, 1))
-            << "BINGO_BATCH=" << batch;
-    }
-}
-
-TEST(BatchedDeterminism, JournalsIdenticalAcrossWorkerCounts)
-{
-    const auto serial = journaledSweep(4, 1);
-    const auto threaded = journaledSweep(4, 2);
-    EXPECT_EQ(serial, threaded);
-}
-
-/**
- * Batching composes with the cycle-skip toggle: a batched sweep with
- * fast-forwarding disabled still matches the batch=1 default-skip
- * journal bit-for-bit (skip equivalence and batch equivalence hold
- * simultaneously, not just each against its own reference).
- */
-TEST(BatchedDeterminism, BatchedSkipOffMatchesUnbatchedSkipOn)
-{
-    const auto reference = journaledSweep(1, 1);
-    System::setCycleSkippingDefault(false);
-    const auto no_skip = journaledSweep(4, 1);
-    System::setCycleSkippingDefault(std::nullopt);
-    EXPECT_EQ(reference, no_skip);
-}
-
-/** Batching composes with the SIMD toggle the same way. */
-TEST(BatchedDeterminism, BatchedScalarMatchesUnbatchedVector)
-{
-    const auto reference = journaledSweep(1, 1);
-    const simd::Level saved = simd::activeLevel();
-    simd::setLevel(simd::Level::Scalar);
-    const auto scalar = journaledSweep(4, 1);
-    simd::setLevel(saved);
-    EXPECT_EQ(reference, scalar);
-}
-
-/**
- * Chaos under batching: fault draws happen per opportunity inside
- * each System's own engine, so lockstep interleaving must not move a
- * single fault — identical counters and results at every width.
- */
-TEST(BatchedChaosDeterminism, IdenticalFaultScheduleAcrossWidths)
-{
-    const auto chaosSweep = [](unsigned batch) {
-        const EnvVar batch_env("BINGO_BATCH", std::to_string(batch));
-        std::vector<SweepJob> jobs = batchableJobs();
-        for (SweepJob &job : jobs) {
-            job.config.chaos.enabled = true;
-            job.config.chaos.seed = 99;
-            job.config.chaos.rate = 0.002;
-            job.config.chaos.site_mask = 0x1F;
-        }
-        std::vector<chaos::ChaosCounters> counters(jobs.size());
-        std::vector<RunResult> results(jobs.size());
-        runSweepSystems(
-            jobs,
-            [&](std::size_t i, System &system) {
-                counters[i] = system.chaosEngine()->counters();
-                results[i] =
-                    collectResult(system, jobs[i].workload);
-            },
-            1);
-        return std::make_pair(std::move(counters),
-                              std::move(results));
-    };
-    const auto [ref_counters, ref_results] = chaosSweep(1);
-    const auto [batched_counters, batched_results] = chaosSweep(4);
-    ASSERT_EQ(ref_counters.size(), batched_counters.size());
-    std::uint64_t total_faults = 0;
-    for (std::size_t i = 0; i < ref_counters.size(); ++i) {
-        expectIdenticalChaosCounters(ref_counters[i],
-                                     batched_counters[i]);
-        expectIdenticalResults(ref_results[i], batched_results[i]);
-        total_faults += ref_counters[i].trace_corruptions;
-    }
+    System whole(config, workload);
+    whole.run(kWarmup, kMeasure);
+    const RunResult want = collectResult(whole, workload);
+    const chaos::ChaosCounters want_chaos =
+        whole.chaosEngine()->counters();
     // The injector must actually have been injecting.
-    EXPECT_GT(total_faults, 0u);
+    EXPECT_GT(want_chaos.trace_corruptions, 0u);
+
+    for (const std::uint64_t k : {1u, 7u, 8192u}) {
+        SCOPED_TRACE("advance(" + std::to_string(k) + ")");
+        System sliced(config, workload);
+        const std::uint64_t calls =
+            runSliced(sliced, kWarmup, kMeasure, k);
+        // Two calls would mean neither phase was cut by the budget.
+        EXPECT_GT(calls, 2u);
+        const RunResult got = collectResult(sliced, workload);
+        EXPECT_EQ(sliced.now(), whole.now());
+        EXPECT_EQ(sliced.skippedCycles(), whole.skippedCycles());
+        expectIdenticalResults(want, got);
+        expectIdenticalChaosCounters(want_chaos,
+                                     sliced.chaosEngine()->counters());
+        // Every field the journal records, byte for byte.
+        EXPECT_EQ(journalEncode("sliced", got),
+                  journalEncode("sliced", want));
+    }
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "common/footprint.hpp"
 #include "common/rng.hpp"
@@ -147,6 +149,38 @@ TEST(FootprintVote, ThresholdZeroIsUnion)
     vote.add(Footprint::fromRaw(0b01));
     vote.add(Footprint::fromRaw(0b10));
     EXPECT_EQ(vote.resolve(0.0).raw(), 0b11u);
+}
+
+/**
+ * The tally visits only marked blocks; check it against a per-block
+ * count at widths that straddle word and half-word boundaries,
+ * including the full 64-block region.
+ */
+TEST(FootprintVote, EveryWidthMatchesPerBlockCount)
+{
+    Rng rng(31337);
+    for (unsigned width : {1u, 7u, 16u, 31u, 32u, 33u, 63u, 64u}) {
+        FootprintVote vote(width);
+        std::vector<unsigned> counts(width, 0);
+        for (unsigned v = 1; v <= 40; ++v) {
+            const Footprint fp = Footprint::fromRaw(rng.next(), width);
+            for (unsigned b = 0; b < width; ++b)
+                counts[b] += fp.test(b) ? 1 : 0;
+            vote.add(fp);
+            const double threshold =
+                static_cast<double>(rng.below(101)) / 100.0;
+            const auto needed =
+                static_cast<unsigned>(std::ceil(threshold * v));
+            const unsigned min_votes = needed == 0 ? 1 : needed;
+            const Footprint cut = vote.resolve(threshold);
+            for (unsigned b = 0; b < width; ++b) {
+                ASSERT_EQ(cut.test(b), counts[b] >= min_votes)
+                    << "width " << width << " block " << b;
+            }
+        }
+    }
+    EXPECT_THROW(FootprintVote(0), std::invalid_argument);
+    EXPECT_THROW(FootprintVote(65), std::invalid_argument);
 }
 
 /** Property sweep: resolve() respects the vote threshold exactly. */

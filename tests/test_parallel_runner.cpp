@@ -9,13 +9,16 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "sim/experiment.hpp"
+#include "sim/system.hpp"
 #include "sim/thread_pool.hpp"
+#include "test_util.hpp"
 
 namespace
 {
@@ -146,6 +149,48 @@ TEST(ParallelRunner, ResultsComeBackInJobOrder)
         EXPECT_EQ(results[i].workload, jobs[i].workload);
         EXPECT_EQ(results[i].kind, jobs[i].config.prefetcher.kind);
     }
+}
+
+/**
+ * BINGO_BATCH selected the removed lockstep scheduler. A stale value
+ * stops both sweep entry points on the calling thread before any job
+ * starts; unset, empty or `1` runs as usual.
+ */
+TEST(ParallelRunner, RemovedBatchKnobIsRejectedBeforeAnyJobRuns)
+{
+    const std::vector<SweepJob> jobs = {smallSweep().front()};
+    std::atomic<unsigned> attempts{0};
+    const SweepFaultHook count = [&attempts](std::size_t, unsigned) {
+        attempts.fetch_add(1, std::memory_order_relaxed);
+    };
+    {
+        const test::EnvVar batch("BINGO_BATCH", "4");
+        try {
+            runSweepOutcomes(jobs, 1, count);
+            FAIL() << "BINGO_BATCH=4 must be rejected";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("BINGO_BATCH"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("removed"), std::string::npos) << what;
+        }
+        EXPECT_THROW(runSweepSystemsOutcomes(
+                         jobs, [](std::size_t, System &) {}, 1, count),
+                     std::invalid_argument);
+        EXPECT_EQ(attempts.load(), 0u);
+    }
+    for (const char *value : {"unset", "", "1"}) {
+        SCOPED_TRACE(std::string("BINGO_BATCH=") + value);
+        const test::EnvVar batch("BINGO_BATCH", value);
+        if (std::string(value) == "unset")
+            ::unsetenv("BINGO_BATCH");  // EnvVar restores on exit.
+        EXPECT_EQ(sweepBatchSize(), 1u);
+        const std::vector<JobOutcome> outcomes =
+            runSweepOutcomes(jobs, 1, count);
+        ASSERT_EQ(outcomes.size(), 1u);
+        EXPECT_EQ(outcomes[0].status, JobStatus::Ok) << outcomes[0].error;
+    }
+    EXPECT_EQ(attempts.load(), 3u);
 }
 
 TEST(BaselineCache, ConcurrentSameWorkloadComputesOnce)

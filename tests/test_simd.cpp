@@ -2,8 +2,8 @@
  * @file
  * SIMD kernel equivalence tests: every vector kernel must be a
  * bit-exact drop-in for its scalar oracle on arbitrary inputs —
- * including the awkward ones (empty ranges, single elements, widths
- * that don't fill a vector register, saturating counters). The
+ * including the awkward ones (empty ranges, single elements, counts
+ * that don't fill a vector register). The
  * whole-simulation identity checks live in test_determinism.cpp;
  * these pin down the kernels in isolation so a mismatch there points
  * at the guilty primitive.
@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -108,103 +107,7 @@ TEST(Simd, EqualMask64MatchesScalarOnRandomInputs)
     }
 }
 
-TEST(Simd, VoteAddAndResolveMatchScalar)
-{
-    if (simd::detectedLevel() == simd::Level::Scalar)
-        GTEST_SKIP() << "no vector unit detected";
-    std::mt19937_64 rng(31337);
-    for (unsigned width : {1u, 7u, 16u, 31u, 32u, 33u, 63u, 64u}) {
-        std::vector<std::uint16_t> scalar_counts(width, 0);
-        std::vector<std::uint16_t> vector_counts(width, 0);
-        for (int round = 0; round < 200; ++round) {
-            const std::uint64_t bits =
-                width == 64 ? rng()
-                            : rng() & ((std::uint64_t{1} << width) - 1);
-            {
-                ScopedLevel s(simd::Level::Scalar);
-                simd::voteAdd(scalar_counts.data(), bits, width);
-            }
-            {
-                ScopedLevel v(simd::detectedLevel());
-                simd::voteAdd(vector_counts.data(), bits, width);
-            }
-            ASSERT_EQ(scalar_counts, vector_counts)
-                << "width=" << width << " round=" << round;
-
-            const auto min_votes =
-                static_cast<std::uint16_t>(rng() % (round + 2));
-            std::uint64_t scalar_cut = 0;
-            std::uint64_t vector_cut = 0;
-            {
-                ScopedLevel s(simd::Level::Scalar);
-                scalar_cut = simd::voteResolve(scalar_counts.data(),
-                                               width, min_votes);
-            }
-            {
-                ScopedLevel v(simd::detectedLevel());
-                vector_cut = simd::voteResolve(vector_counts.data(),
-                                               width, min_votes);
-            }
-            ASSERT_EQ(scalar_cut, vector_cut)
-                << "width=" << width << " min=" << min_votes;
-        }
-    }
-}
-
-TEST(Simd, ReductionsMatchScalar)
-{
-    if (simd::detectedLevel() == simd::Level::Scalar)
-        GTEST_SKIP() << "no vector unit detected";
-    std::mt19937_64 rng(99);
-    for (std::size_t n = 0; n < 40; ++n) {
-        std::vector<std::uint64_t> words(n);
-        std::uint64_t want_or = 0;
-        std::uint64_t want_and = ~std::uint64_t{0};
-        std::uint64_t want_pop = 0;
-        for (auto &w : words) {
-            w = rng();
-            want_or |= w;
-            want_and &= w;
-            want_pop += static_cast<std::uint64_t>(std::popcount(w));
-        }
-        ScopedLevel vec(simd::detectedLevel());
-        EXPECT_EQ(simd::orReduce(words.data(), n), want_or);
-        EXPECT_EQ(simd::andReduce(words.data(), n), want_and);
-        EXPECT_EQ(simd::popcountSum(words.data(), n), want_pop);
-    }
-}
-
-/** The Footprint batch wrappers agree with the one-at-a-time ops. */
-TEST(Simd, FootprintBatchOpsMatchElementwise)
-{
-    std::mt19937_64 rng(4242);
-    std::vector<std::uint64_t> raws;
-    for (int i = 0; i < 9; ++i)
-        raws.push_back(rng() & 0xFFFFFFFFu);  // 32-block footprints.
-
-    Footprint union_ref(kBlocksPerRegion);
-    Footprint inter_ref =
-        Footprint::fromRaw(~std::uint64_t{0}, kBlocksPerRegion);
-    std::uint64_t total_ref = 0;
-    for (std::uint64_t raw : raws) {
-        const Footprint fp =
-            Footprint::fromRaw(raw, kBlocksPerRegion);
-        union_ref = union_ref | fp;
-        inter_ref = inter_ref & fp;
-        total_ref += fp.count();
-    }
-
-    const Footprint union_got =
-        Footprint::unionOf(raws.data(), raws.size());
-    const Footprint inter_got =
-        Footprint::intersectOf(raws.data(), raws.size());
-    EXPECT_EQ(union_got.raw(), union_ref.raw());
-    EXPECT_EQ(inter_got.raw(), inter_ref.raw());
-    EXPECT_EQ(Footprint::totalCount(raws.data(), raws.size()),
-              total_ref);
-}
-
-/** FootprintVote (now kernel-backed) still tallies and cuts exactly. */
+/** FootprintVote's scalar tally and threshold cut are exact. */
 TEST(Simd, FootprintVoteThresholdExact)
 {
     FootprintVote vote(8);

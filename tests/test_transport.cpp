@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -424,10 +425,23 @@ TEST(Manifest, StoreAndLoadThroughTheJournalDirectory)
     dist::manifestStore(dir, jobs);
     ASSERT_TRUE(std::filesystem::exists(dist::manifestPath(dir)));
     std::vector<SweepJob> loaded;
-    ASSERT_TRUE(dist::manifestLoad(dir, loaded));
+    ASSERT_EQ(dist::manifestLoad(dist::manifestPath(dir), loaded),
+              dist::ManifestLoad::Ok);
     ASSERT_EQ(loaded.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i)
         EXPECT_EQ(jobFingerprint(loaded[i]), jobFingerprint(jobs[i]));
+
+    // The failures `bingo_worker --sweep` reports: both exit 64 before
+    // any job runs.
+    const std::string missing = dir + "/absent.sweep";
+    EXPECT_EQ(dist::manifestLoad(missing, loaded),
+              dist::ManifestLoad::Unreadable);
+    EXPECT_EQ(dist::runManifestSweep(missing), 64);
+    const std::string garbage = dir + "/garbage.sweep";
+    std::ofstream(garbage) << "not a manifest\n";
+    EXPECT_EQ(dist::manifestLoad(garbage, loaded),
+              dist::ManifestLoad::Undecodable);
+    EXPECT_EQ(dist::runManifestSweep(garbage), 64);
     std::filesystem::remove_all(dir);
 }
 
